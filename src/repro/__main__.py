@@ -16,10 +16,6 @@ Commands:
   category that moved.  ``--quick`` keeps the SPEC-sweep experiments
   only; ``--inject seed=1,extra-sync=0.5`` turns the fault injector
   into a regression simulator the gate must catch.
-- ``cache info|clear|verify DIR`` — inspect, delete or deep-verify the
-  persistent translation cache at ``DIR`` (``--cache-dir``).  ``verify``
-  exits 1 when any store is tampered or corrupt; such stores are also
-  refused (entry by entry) by the engine's load path.
 - ``learn [--save PATH]`` — run the rule-learning pipeline; optionally
   save the rulebook as JSON.
 - ``compare WORKLOAD`` — run one workload on every engine and print a
@@ -46,9 +42,6 @@ fault injection, e.g. ``--inject seed=7,mem=0.01,rule-corrupt=SUB``
 Chrome trace of the run, and ``--check`` to enable verify-before-enter:
 every rules-tier TB is statically verified before entering the code
 cache and demoted down the degradation ladder on an ERROR finding.
-``run``, ``exec`` and ``bench`` also accept ``--cache-dir DIR`` to
-warm-start translation from a persistent cross-run cache (see
-``docs/caching.md``).
 """
 
 from __future__ import annotations
@@ -140,21 +133,11 @@ def _run_and_print(workload, args) -> int:
     try:
         result = run_workload(workload, args.engine, inject=args.inject,
                               tracer=tracer,
-                              check=getattr(args, "check", False),
-                              cache_dir=getattr(args, "cache_dir", None))
+                              check=getattr(args, "check", False))
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
     _print_run(result)
-    if getattr(args, "cache_dir", None):
-        stats = result.stats
-        print("cache: "
-              f"{stats.get('cache.tb_loaded', 0):.0f} loaded, "
-              f"{stats.get('cache.tb_fresh', 0):.0f} fresh, "
-              f"{stats.get('cache.tb_saved', 0):.0f} saved, "
-              f"{stats.get('cache.tb_stale', 0):.0f} stale, "
-              f"{stats.get('cache.tb_corrupt', 0):.0f} corrupt, "
-              f"{stats.get('cache.tb_evicted', 0):.0f} evicted")
     if getattr(args, "check", False):
         stats = result.stats
         print(f"check: {stats.get('engine.check_tbs', 0):.0f} TB "
@@ -362,56 +345,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_cache(args) -> int:
-    """The ``cache`` maintenance verb: info | clear | verify.
-
-    Exit codes: 0 (ok — including an empty or missing cache dir),
-    1 (``verify`` found problems), 2 (usage error, via argparse)."""
-    import json
-    import os
-
-    from .cache import clear_stores, iter_store_dirs, store_info, \
-        verify_store
-
-    root = args.dir
-    if args.action == "clear":
-        removed = clear_stores(root)
-        print(f"removed {removed} store(s) from {root}")
-        return 0
-    dirs = iter_store_dirs(root)
-    if args.action == "info":
-        infos = [store_info(directory) for directory in dirs]
-        if args.format == "json":
-            print(json.dumps({"root": root, "stores": infos},
-                             indent=1, sort_keys=True))
-        else:
-            rows = [[info["key"], info["entries"],
-                     info["format_version"], info["bytes"]]
-                    for info in infos]
-            print(format_table(["Store", "Entries", "Format", "Bytes"],
-                               rows,
-                               title=f"translation cache at {root}"))
-        return 0
-    reports = []
-    bad = 0
-    for directory in dirs:
-        problems = verify_store(directory)
-        bad += bool(problems)
-        reports.append({"key": os.path.basename(directory),
-                        "problems": problems})
-    if args.format == "json":
-        print(json.dumps({"root": root, "stores": reports,
-                          "ok": not bad}, indent=1, sort_keys=True))
-    else:
-        for report in reports:
-            print(f"{report['key']}: "
-                  f"{'ok' if not report['problems'] else 'CORRUPT'}")
-            for problem in report["problems"]:
-                print(f"  - {problem}")
-        print(f"{len(reports)} store(s), {bad} with problems")
-    return 1 if bad else 0
-
-
 def cmd_bench(args) -> int:
     if args.experiment is not None:
         return _bench_experiment(args)
@@ -471,7 +404,6 @@ def _bench_suite(args) -> int:
             mode=mode, sweep_workloads=sweep, inject=args.inject,
             wallclock_samples=args.samples,
             results_dir=RESULTS_DIR if args.export_results else None,
-            cache_dir=args.cache_dir,
             progress=progress)
     except (ReproError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -553,10 +485,6 @@ def main(argv=None) -> int:
     run_parser.add_argument("--check", action="store_true",
                             help="verify every rules-tier TB before it "
                                  "enters the code cache")
-    run_parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                            help="persistent translation cache: warm-"
-                                 "start from DIR and persist new "
-                                 "rules-tier TBs there")
 
     exec_parser = sub.add_parser("exec", help="run a guest assembly file")
     exec_parser.add_argument("file")
@@ -569,18 +497,6 @@ def main(argv=None) -> int:
     exec_parser.add_argument("--check", action="store_true",
                              help="verify every rules-tier TB before it "
                                   "enters the code cache")
-    exec_parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                             help="persistent translation cache "
-                                  "directory")
-
-    cache_parser = sub.add_parser(
-        "cache", help="inspect, clear or verify a persistent "
-                      "translation cache directory")
-    cache_parser.add_argument("action", choices=("info", "clear",
-                                                 "verify"))
-    cache_parser.add_argument("dir", help="the --cache-dir root")
-    cache_parser.add_argument("--format", choices=("table", "json"),
-                              default="table")
 
     check_parser = sub.add_parser(
         "check", help="run the translation soundness checker")
@@ -682,11 +598,6 @@ def main(argv=None) -> int:
     bench_parser.add_argument("--gate-wallclock", action="store_true",
                               help="let wall-clock metrics fail the gate "
                                    "(off by default: CI jitter)")
-    bench_parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                              help="persistent translation cache threaded "
-                                   "through the whole sweep (warm-start "
-                                   "counts go to stderr, never into the "
-                                   "snapshot)")
 
     learn_parser = sub.add_parser("learn", help="run the learning pipeline")
     learn_parser.add_argument("--save", metavar="PATH", default=None)
@@ -694,7 +605,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"list": cmd_list, "run": cmd_run, "exec": cmd_exec,
                 "compare": cmd_compare, "bench": cmd_bench,
-                "cache": cmd_cache, "learn": cmd_learn,
+                "learn": cmd_learn,
                 "faultsmoke": cmd_faultsmoke,
                 "profile": cmd_profile, "check": cmd_check,
                 "validate-trace": cmd_validate_trace}

@@ -52,7 +52,7 @@ class RuleEngine(DbtEngineBase):
         # block's live-in, so cached facts must not outlive coverage
         # changes (a stale entry would let the inter-TB optimization
         # elide a flag sync the successor now needs).
-        self.cache.add_evict_listener(self._on_cache_evict)
+        self.cache.on_evict = self._on_cache_evict
 
     # ------------------------------------------------------------------
     # Successor analysis for the inter-TB optimization.

@@ -6,7 +6,7 @@ Inverse of :mod:`repro.guest.encoder`; unknown words raise
 
 from __future__ import annotations
 
-from ..common.bitops import bit, bits, decode_arm_imm, sign_extend, u32
+from ..common.bitops import bit, bits, decode_arm_imm, sign_extend
 from ..common.errors import DecodingError
 from .isa import (ArmInsn, Cond, Op, Operand2, ShiftKind)
 
@@ -127,7 +127,6 @@ def decode(word: int, insn_addr: int = 0) -> ArmInsn:
             insn = ArmInsn(op=Op.CPS, cps_enable=(imod == 0b10),
                            addr=insn_addr)
             insn.cond = Cond.AL
-            insn.raw = u32(word)
             return insn
         raise DecodingError(word, insn_addr)
     cond = Cond(cond_field)
@@ -209,5 +208,4 @@ def decode(word: int, insn_addr: int = 0) -> ArmInsn:
     if insn is None:
         raise DecodingError(word, insn_addr)
     insn.cond = cond
-    insn.raw = u32(word)
     return insn

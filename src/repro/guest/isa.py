@@ -278,12 +278,6 @@ class ArmInsn:
 
     addr: int = 0
 
-    #: The machine word this instruction was decoded from (None for
-    #: hand-built instructions).  Excluded from equality so decoded and
-    #: assembled instructions still compare equal; the persistent
-    #: translation cache uses it to record exact guest bytes.
-    raw: Optional[int] = field(default=None, compare=False, repr=False)
-
     # ------------------------------------------------------------------
     # Classification helpers used by both DBT engines.
     # ------------------------------------------------------------------

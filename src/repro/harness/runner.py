@@ -73,18 +73,12 @@ def _robustness_kwargs(inject) -> Dict:
 def make_machine(workload: Workload, engine: str,
                  config: Optional[OptConfig] = None,
                  inject=None, tracer=None, profiler=None,
-                 check: bool = False,
-                 cache_dir: Optional[str] = None) -> Machine:
+                 check: bool = False) -> Machine:
     """Build a machine with the kernel + workload loaded and devices set up.
 
     *check* enables the rules engine's verify-before-enter mode: every
     rules-tier TB is statically verified before entering the code cache
-    (``repro run --check``; ignored by the interp/tcg engines).
-
-    *cache_dir* attaches the persistent cross-run translation cache
-    (``--cache-dir``; a no-op for engines without a rules tier).  The
-    caller is responsible for ``machine.engine.persistent.save()`` after
-    the run — :func:`run_workload` does this."""
+    (``repro run --check``; ignored by the interp/tcg engines)."""
     kwargs = _robustness_kwargs(inject)
     if tracer is not None:
         kwargs["tracer"] = tracer
@@ -118,25 +112,16 @@ def make_machine(workload: Workload, engine: str,
         machine.blockdev.load_image(workload.disk_image)
     for packet in workload.nic_packets:
         machine.nic.queue_rx(packet)
-    if cache_dir:
-        # After load_program: the store key includes the image digest.
-        from ..cache import attach_cache
-        attach_cache(machine, cache_dir)
     return machine
 
 
 def run_workload(workload: Workload, engine: str,
                  config: Optional[OptConfig] = None,
                  inject=None, tracer=None, profiler=None,
-                 check: bool = False,
-                 cache_dir: Optional[str] = None) -> RunResult:
+                 check: bool = False) -> RunResult:
     machine = make_machine(workload, engine, config, inject=inject,
-                           tracer=tracer, profiler=profiler, check=check,
-                           cache_dir=cache_dir)
+                           tracer=tracer, profiler=profiler, check=check)
     exit_code = machine.run(workload.max_insns)
-    loader = getattr(machine.engine, "persistent", None)
-    if loader is not None:
-        loader.save()
     output = machine.uart.text
     if workload.expected_output is not None and \
             output != workload.expected_output:
@@ -165,7 +150,7 @@ def run_workload(workload: Workload, engine: str,
 # Process-wide memoization: the figure benchmarks share one sweep.
 # ---------------------------------------------------------------------------
 
-_CACHE: Dict[Tuple[str, str, str, str], RunResult] = {}
+_CACHE: Dict[Tuple[str, str, str], RunResult] = {}
 
 #: Fault plan applied to every ``run_cached`` miss (see
 #: :func:`set_cache_inject`); part of the cache key, so injected and
@@ -199,34 +184,12 @@ def current_cache_inject() -> Optional[FaultPlan]:
     return _CACHE_INJECT
 
 
-#: Persistent translation-cache directory for the shared sweep (see
-#: :func:`set_cache_dir`); part of the memo key like the fault plan.
-_CACHE_DIR: Optional[str] = None
-
-
-def set_cache_dir(cache_dir: Optional[str] = None) -> Optional[str]:
-    """Thread ``--cache-dir`` through the shared figure sweep
-    (``None`` clears it).  Warm-start state is per-store on disk; the
-    in-process memo key includes the directory so cached and uncached
-    sweeps never alias."""
-    global _CACHE_DIR
-    _CACHE_DIR = cache_dir or None
-    return _CACHE_DIR
-
-
 def run_cached(workload: Workload, engine: str) -> RunResult:
-    key = (workload.name, engine, _CACHE_INJECT_SPEC, _CACHE_DIR or "")
+    key = (workload.name, engine, _CACHE_INJECT_SPEC)
     if key not in _CACHE:
         _CACHE[key] = run_workload(workload, engine,
-                                   inject=_CACHE_INJECT,
-                                   cache_dir=_CACHE_DIR)
+                                   inject=_CACHE_INJECT)
     return _CACHE[key]
-
-
-def cached_results() -> Tuple[RunResult, ...]:
-    """Every result memoized by the current sweep (for reporting, e.g.
-    the bench orchestrator's warm-start summary)."""
-    return tuple(_CACHE.values())
 
 
 def clear_cache() -> None:

@@ -210,12 +210,6 @@ class QemuRuntime:
 
 # ---------------------------------------------------------------------------
 # Helper factories (one helper per call site, capturing the guest insn).
-#
-# Each factory stamps a ``persist`` spec on the closure it returns: a
-# JSON-able tuple from which the persistent translation cache
-# (:mod:`repro.cache`) can rebuild an equivalent helper when a TB is
-# loaded from disk in a later run.  Helpers without a spec (e.g. the
-# fault injector's) make their TB unpersistable.
 # ---------------------------------------------------------------------------
 
 
@@ -227,7 +221,6 @@ def make_ld_helper(size: int, signed: bool, mmu_idx: int, insn_pc: int):
                                      signed=signed)
 
     helper_ld.__name__ = f"helper_ld{size}"
-    helper_ld.persist = ("ld", size, bool(signed), mmu_idx, insn_pc)
     return helper_ld
 
 
@@ -238,7 +231,6 @@ def make_st_helper(size: int, mmu_idx: int, insn_pc: int):
         runtime.memory_access(vaddr, size, mmu_idx, insn_pc, value=value)
 
     helper_st.__name__ = f"helper_st{size}"
-    helper_st.persist = ("st", size, mmu_idx, insn_pc)
     return helper_st
 
 
@@ -272,7 +264,6 @@ def make_sysreg_helper(insn: ArmInsn):
             raise TbExitException(EXIT_HALT)
 
     helper_sysreg.__name__ = f"helper_{insn.mnemonic()}"
-    helper_sysreg.persist = ("sysreg", insn.addr)
     return helper_sysreg
 
 
@@ -302,7 +293,6 @@ def make_vfp_helper(insn: ArmInsn):
         runtime.cpu.vfp[insn.fd] = result
 
     helper_vfp.__name__ = f"helper_{insn.op.value.replace('.', '_')}"
-    helper_vfp.persist = ("vfp", insn.addr)
     return helper_vfp
 
 
@@ -312,7 +302,6 @@ def make_svc_helper(insn: ArmInsn):
         raise TbExitException(EXIT_EXCEPTION)
 
     helper_svc.__name__ = "helper_svc"
-    helper_svc.persist = ("svc", insn.addr)
     return helper_svc
 
 
@@ -336,7 +325,6 @@ def make_exception_return_helper(insn: ArmInsn):
         raise TbExitException(EXIT_EXCEPTION)
 
     helper_eret.__name__ = "helper_exception_return"
-    helper_eret.persist = ("eret", insn.addr)
     return helper_eret
 
 
@@ -347,7 +335,6 @@ def make_undef_helper(insn: ArmInsn):
         raise TbExitException(EXIT_EXCEPTION)
 
     helper_undef.__name__ = "helper_undef"
-    helper_undef.persist = ("undef", insn.addr)
     return helper_undef
 
 

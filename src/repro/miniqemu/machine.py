@@ -231,12 +231,6 @@ class Machine:
             "robust": robust_group,
             "io": {"cost": float(self.io_cost)},
         }
-        loader = getattr(self.engine, "persistent", None)
-        if loader is not None:
-            # Kept in its own group: warm-start accounting differs
-            # between cold and warm runs by design, while the
-            # deterministic engine./robust./io. groups must not.
-            groups["cache"] = loader.stats()
         if self.tracer.enabled:
             groups["trace"] = self.tracer.stats()
         return merge_stats(groups)
@@ -291,9 +285,6 @@ class DbtEngineBase:
         self.machine = machine
         self.cache = CodeCache()
         self.translation_cost = 0
-        #: Persistent cross-run translation cache (repro.cache); wired
-        #: by attach_cache() when the run has a --cache-dir.
-        self.persistent = None
         machine.host.on_tb_enter = self._on_tb_enter  # set below via attr
         self.ladder = DegradationController(self.tiers)
         self.selfcheck = SelfCheck(interval=machine.selfcheck_interval,
@@ -454,32 +445,11 @@ class DbtEngineBase:
     def get_tb(self, pc: int, mmu_idx: int) -> TranslationBlock:
         tb = self.cache.lookup(pc, mmu_idx)
         if tb is None:
-            loaded = None
-            if self.persistent is not None and \
-                    self.ladder.start_tier(pc, mmu_idx) == 0:
-                # Warm start: revive a persisted rules-tier translation
-                # (validated against live guest bytes by the loader).
-                loaded = self.persistent.fetch(pc, mmu_idx)
-            if loaded is not None:
-                tb = loaded
-                self.ladder.note_translated(self.tiers.index("rules"))
-            else:
-                tb = self.translate(pc, mmu_idx)
-                if self.persistent is not None:
-                    self.persistent.fresh += 1
+            tb = self.translate(pc, mmu_idx)
             self.machine.injector.instrument_tb(tb)
-            vetted = self._vet_tb(tb)
-            if loaded is not None and vetted is not tb:
-                # --check rejected the revived block: the persisted
-                # entry is unsound for this context, drop it too.
-                self.persistent.discard(pc, mmu_idx, "check-reject")
-            tb = vetted
-            tb.meta.setdefault("provenance", "fresh")
+            tb = self._vet_tb(tb)
             self.cache.insert(tb)
             host = self.machine.host
-            # Loaded TBs re-charge the same modelled translation cost as
-            # a fresh translation, so the deterministic metrics are
-            # bit-identical cold vs warm; the warm win is wall-clock.
             cost = COST_TRANSLATE_PER_INSN * tb.guest_insn_count
             if host.profiler is not None:
                 # Attribute the modelled translation cost to the new TB.
@@ -491,7 +461,6 @@ class DbtEngineBase:
             if self.machine.tracer.enabled:
                 self.machine.tracer.emit(
                     "tb.translate", pc=pc, tier=tb.meta.get("tier", "?"),
-                    provenance=tb.meta.get("provenance", "fresh"),
                     guest_insns=tb.guest_insn_count,
                     host_insns=len(tb.code))
         return tb

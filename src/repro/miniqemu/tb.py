@@ -9,7 +9,7 @@ directly at the successor TB once it is translated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..common.errors import ReproError
 from ..guest.isa import ArmInsn
@@ -56,19 +56,11 @@ class CodeCache:
         self.translated_guest_insns = 0   # static translation statistics
         self.translated_host_insns = 0
         self.invalidated = 0              # TBs evicted by the ladder
-        #: Eviction observers: ``fn(victims, rules)`` called after any
-        #: invalidation, with the evicted TBs and the quarantined rule
-        #: keys (None unless this was a rule-quarantine eviction).  The
-        #: rule engine uses this to drop stale successor live-in entries
-        #: and the persistent cache uses it to evict on-disk entries.
-        self._evict_listeners: List = []
-
-    def add_evict_listener(self, listener) -> None:
-        self._evict_listeners.append(listener)
-
-    def _notify_evict(self, victims, rules=None) -> None:
-        for listener in self._evict_listeners:
-            listener(victims, rules)
+        #: Eviction hook: ``on_evict(victims, rules)`` is called after
+        #: any invalidation, with the evicted TBs and the quarantined
+        #: rule keys (None unless this was a rule-quarantine eviction).
+        #: The rule engine sets it to drop stale successor live-in facts.
+        self.on_evict: Optional[Callable[..., None]] = None
 
     def lookup(self, pc: int, mmu_idx: int) -> Optional[TranslationBlock]:
         return self._tbs.get((pc, mmu_idx))
@@ -81,8 +73,8 @@ class CodeCache:
     def flush(self) -> None:
         victims = list(self._tbs.values())
         self._tbs.clear()
-        if victims:
-            self._notify_evict(victims)
+        if victims and self.on_evict is not None:
+            self.on_evict(victims, None)
 
     # -- invalidation (the degradation ladder's eviction path) -------------
 
@@ -97,7 +89,8 @@ class CodeCache:
         del self._tbs[key]
         self.invalidated += 1
         self._unlink({id(tb)})
-        self._notify_evict([tb])
+        if self.on_evict is not None:
+            self.on_evict([tb], None)
 
     def invalidate_rules(self, rules: Iterable[str]) -> int:
         """Evict every TB translated with any of the given rule keys.
@@ -113,7 +106,8 @@ class CodeCache:
             del self._tbs[(tb.pc, tb.mmu_idx)]
         self.invalidated += len(victims)
         self._unlink({id(tb) for tb in victims})
-        self._notify_evict(victims, wanted)
+        if self.on_evict is not None:
+            self.on_evict(victims, wanted)
         return len(victims)
 
     def _unlink(self, removed_ids: set) -> None:

@@ -66,7 +66,8 @@ target:
 _WALLCLOCK_BASE = 0x40000
 
 
-def _wallclock_machine():
+def _sample_translation_wallclock(samples: int) -> Dict[str, Any]:
+    """Time rule-based translation of a fixed block *samples* times."""
     from ..core import OptLevel
     from ..core.engine import RuleEngine
     from ..guest.asm import assemble
@@ -75,12 +76,7 @@ def _wallclock_machine():
     machine = Machine(engine="tcg")
     machine.memory.load_program(assemble(_WALLCLOCK_BLOCK,
                                          base=_WALLCLOCK_BASE))
-    return machine, RuleEngine(machine, level=OptLevel.FULL)
-
-
-def _sample_translation_wallclock(samples: int) -> Dict[str, Any]:
-    """Time rule-based translation of a fixed block *samples* times."""
-    machine, engine = _wallclock_machine()
+    engine = RuleEngine(machine, level=OptLevel.FULL)
     times: List[float] = []
     for _ in range(samples):
         start = time.perf_counter()
@@ -88,44 +84,6 @@ def _sample_translation_wallclock(samples: int) -> Dict[str, Any]:
         times.append(max(time.perf_counter() - start, 1e-9))
     return {"samples": times, "unit": "seconds",
             "block_guest_insns": tb.guest_insn_count}
-
-
-def _sample_warmstart_wallclock(samples: int) -> Dict[str, Any]:
-    """Time reviving the same block from a persistent store.
-
-    The warm-start counterpart of :func:`_sample_translation_wallclock`:
-    the block is translated once, persisted, and then fetched
-    (guest-byte validation + host-code deserialization) *samples*
-    times through a freshly attached loader.  The index read and the
-    store-wide integrity validation are kept outside the timed region —
-    they are per-run costs, not per-TB ones."""
-    import shutil
-    import tempfile
-
-    from ..cache import CacheLoader
-    from ..common.errors import ReproError
-
-    machine, engine = _wallclock_machine()
-    root = tempfile.mkdtemp(prefix="repro-warmclock-")
-    try:
-        seed = CacheLoader(machine, engine, root)
-        tb = engine.translate(_WALLCLOCK_BASE, 0)
-        engine.cache.insert(tb)
-        seed.save()
-        times: List[float] = []
-        for _ in range(samples):
-            loader = CacheLoader(machine, engine, root)
-            loader.load_index()
-            start = time.perf_counter()
-            loaded = loader.fetch(_WALLCLOCK_BASE, 0)
-            times.append(max(time.perf_counter() - start, 1e-9))
-            if loaded is None:
-                raise ReproError("warm-start sampler failed to revive "
-                                 "its own persisted block")
-        return {"samples": times, "unit": "seconds",
-                "block_guest_insns": tb.guest_insn_count}
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
 
 
 def _sum_stat(runs: List[Any], key: str) -> float:
@@ -140,7 +98,6 @@ def run_suite(mode: str = "full",
               wallclock_samples: Optional[int] = None,
               name: str = "bench",
               results_dir: Optional[str] = None,
-              cache_dir: Optional[str] = None,
               progress: Optional[Callable[[str], None]] = None
               ) -> Dict[str, Any]:
     """Run the benchmark suite and return one snapshot dict.
@@ -152,15 +109,9 @@ def run_suite(mode: str = "full",
     When *results_dir* is set, each experiment's rendered table and
     metric payload are also written there (the
     ``benchmarks/results/<name>.{txt,json}`` companions).
-
-    *cache_dir* threads ``--cache-dir`` through the whole sweep: every
-    run warm-starts from (and persists to) that directory.  Warm-start
-    accounting goes to *progress* only — never into the snapshot, whose
-    deterministic metrics must be bit-identical cold vs warm.
     """
     from ..harness.experiments import ALL_EXPERIMENTS, SPEC_ORDER
-    from ..harness.runner import (cached_results, run_cached,
-                                  set_cache_dir, set_cache_inject)
+    from ..harness.runner import run_cached, set_cache_inject
     from ..workloads import ALL_WORKLOADS
 
     if experiments is None:
@@ -174,7 +125,6 @@ def run_suite(mode: str = "full",
     say = progress or (lambda _message: None)
 
     plan = set_cache_inject(inject)
-    set_cache_dir(cache_dir)
     try:
         figures: Dict[str, Dict[str, Any]] = {}
         for experiment in experiments:
@@ -237,24 +187,11 @@ def run_suite(mode: str = "full",
                         covered / max(covered + uncovered, 1.0),
                 }
 
-        if cache_dir:
-            runs = cached_results()
-            summary = {key: sum(r.stats.get(f"cache.{key}", 0.0)
-                                for r in runs)
-                       for key in ("tb_loaded", "tb_fresh", "tb_saved",
-                                   "tb_stale", "tb_evicted")}
-            say("persistent cache: loaded {tb_loaded:.0f} TBs, "
-                "translated {tb_fresh:.0f} fresh, saved {tb_saved:.0f}, "
-                "stale {tb_stale:.0f}, evicted {tb_evicted:.0f}"
-                .format(**summary))
-
         say("wall-clock translation sampling")
         samples = wallclock_samples if wallclock_samples is not None \
             else WALLCLOCK_SAMPLES.get(mode, 5)
         wallclock = {"translate_block":
-                     _sample_translation_wallclock(samples),
-                     "translate_block_warm":
-                     _sample_warmstart_wallclock(samples)}
+                     _sample_translation_wallclock(samples)}
 
         return {
             "schema": SCHEMA,
@@ -274,7 +211,6 @@ def run_suite(mode: str = "full",
         }
     finally:
         set_cache_inject(None)
-        set_cache_dir(None)
 
 
 def _export_result(results_dir: str, name: str, result: Any) -> None:

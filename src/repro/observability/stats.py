@@ -12,9 +12,6 @@ raises on any collision instead of hiding it:
 - ``robust.*``  — degradation ladder, quarantine, self-check, watchdog
   and fault-injection counters.
 - ``io.*``      — device/IO time.
-- ``cache.*``   — persistent translation-cache warm-start accounting
-  (only present when a ``--cache-dir`` loader is attached; differs
-  between cold and warm runs by design, unlike the groups above).
 - ``trace.*``   — tracer bookkeeping (only present when tracing is on).
 """
 
@@ -25,8 +22,7 @@ from typing import Dict, Mapping, Tuple
 from ..common.errors import ReproError
 
 #: The only legal top-level stat namespaces.
-STAT_NAMESPACES: Tuple[str, ...] = ("engine", "robust", "io", "cache",
-                                    "trace")
+STAT_NAMESPACES: Tuple[str, ...] = ("engine", "robust", "io", "trace")
 
 
 def merge_stats(groups: Mapping[str, Mapping[str, float]]) \

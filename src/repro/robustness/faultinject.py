@@ -31,10 +31,6 @@ site             where it fires                                effect
                  sync-save and forge an elision justification  flags it
 ``extra-sync``   post-translate TB instrumentation: insert     perf gate
                  redundant sync-save instructions at TB entry  flags it
-``cache-corrupt``  persistent-cache entry fetch: hand the      evict +
-                 checksum validation a bit-flipped entry       fresh xlate
-``cache-stale-bytes``  persistent-cache entry fetch: hand the  evict +
-                 guest-byte validation non-matching words      fresh xlate
 ===============  ============================================  ==========
 
 Rate sites (``fetch``/``mem``/``helper``/``irq-storm``/``rule-crash``)
@@ -75,10 +71,6 @@ ANALYSIS_SITES = ("drop-save", "forge-elide")
 #: Performance-regression site (rate per rules-tier TB): sound but slow
 #: code only the benchmark gate can flag.
 PERF_SITES = ("extra-sync",)
-#: Persistent-cache sites (rate per persisted-entry fetch): simulated
-#: store corruption / staleness that the loader's validation must catch
-#: (see repro.cache.loader) — the entry is evicted, never executed.
-CACHE_SITES = ("cache-corrupt", "cache-stale-bytes")
 
 #: Redundant sync instructions ``extra-sync`` inserts per fired TB —
 #: two packed saves' worth (Fig 8: a packed save is ~3 instructions).
@@ -122,7 +114,7 @@ def parse_inject_spec(spec: str) -> FaultPlan:
         if key == "seed":
             seed = int(value, 0)
         elif key in RATE_SITES or key in ANALYSIS_SITES or \
-                key in PERF_SITES or key in CACHE_SITES:
+                key in PERF_SITES:
             rate = float(value)
             if not 0.0 <= rate <= 1.0:
                 raise ReproError(f"--inject rate for {key!r} out of [0,1]: "
@@ -134,7 +126,7 @@ def parse_inject_spec(spec: str) -> FaultPlan:
             wrong.add(value.upper())
         else:
             known = ", ".join(RATE_SITES + ANALYSIS_SITES + PERF_SITES +
-                              CACHE_SITES + OP_SITES + ("seed",))
+                              OP_SITES + ("seed",))
             raise ReproError(f"unknown --inject site {key!r} (one of: "
                              f"{known})")
     return FaultPlan(seed=seed, rates=rates,

@@ -99,91 +99,3 @@ def test_cli_learn_and_save(tmp_path, capsys):
     assert path.exists()
     out = capsys.readouterr().out
     assert "parameterized rules" in out
-
-
-# ---------------------------------------------------------------------------
-# The persistent translation cache verb: repro cache info|clear|verify.
-# ---------------------------------------------------------------------------
-
-def test_cli_cache_info_on_missing_dir(tmp_path, capsys):
-    root = tmp_path / "nonexistent"
-    assert main(["cache", "info", str(root)]) == 0
-    assert "translation cache" in capsys.readouterr().out
-    assert main(["cache", "info", str(root), "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data == {"root": str(root), "stores": []}
-
-
-def test_cli_cache_verify_on_empty_dir_is_ok(tmp_path, capsys):
-    assert main(["cache", "verify", str(tmp_path)]) == 0
-    assert "0 with problems" in capsys.readouterr().out
-
-
-def test_cli_cache_lifecycle(tmp_path, capsys):
-    """Populate via --cache-dir, then info -> verify -> tamper -> clear."""
-    import os
-
-    from repro.cache import iter_store_dirs
-
-    root = tmp_path / "tc"
-    assert main(["run", "sjeng", "--engine", "rules-full",
-                 "--cache-dir", str(root)]) == 0
-    out = capsys.readouterr().out
-    assert "118238" in out               # sjeng's checksum, unchanged
-    assert "cache:" in out and "saved" in out
-
-    # info: one store with entries, both table and JSON forms.
-    assert main(["cache", "info", str(root), "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert len(data["stores"]) == 1
-    assert data["stores"][0]["entries"] > 0
-    assert data["stores"][0]["bytes"] > 0
-
-    # verify: clean store passes.
-    assert main(["cache", "verify", str(root)]) == 0
-    assert "ok" in capsys.readouterr().out
-
-    # A warm run loads the store and prints the warm-start line.
-    assert main(["run", "sjeng", "--engine", "rules-full",
-                 "--cache-dir", str(root)]) == 0
-    out = capsys.readouterr().out
-    assert "118238" in out
-    loaded = int(out.split("cache: ")[1].split(" loaded")[0])
-    assert loaded > 0
-
-    # Tamper with one entry: verify must exit non-zero and say why.
-    store_dir = iter_store_dirs(str(root))[0]
-    entries_path = os.path.join(store_dir, "entries.json")
-    with open(entries_path) as handle:
-        payload = json.load(handle)
-    payload["entries"][0]["words"][0] ^= 2
-    with open(entries_path, "w") as handle:
-        json.dump(payload, handle)
-    assert main(["cache", "verify", str(root)]) == 1
-    assert "CORRUPT" in capsys.readouterr().out
-    assert main(["cache", "verify", str(root), "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["ok"] is False
-    assert any("checksum mismatch" in problem
-               for store in report["stores"]
-               for problem in store["problems"])
-
-    # The engine refuses the tampered entry but the run still succeeds.
-    assert main(["run", "sjeng", "--engine", "rules-full",
-                 "--cache-dir", str(root)]) == 0
-    out = capsys.readouterr().out
-    assert "118238" in out
-    assert "1 corrupt" in out
-
-    # clear: removes the store; a second clear is a no-op.
-    assert main(["cache", "clear", str(root)]) == 0
-    assert "removed 1 store(s)" in capsys.readouterr().out
-    assert iter_store_dirs(str(root)) == []
-    assert main(["cache", "clear", str(root)]) == 0
-    assert "removed 0 store(s)" in capsys.readouterr().out
-
-
-def test_cli_cache_rejects_bad_action(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["cache", "frobnicate", "/tmp/x"])
-    assert info.value.code == 2

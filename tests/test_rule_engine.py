@@ -8,6 +8,9 @@ optimization level — the master invariant of the reproduction.
 import pytest
 
 from repro.core import EmptyRulebook, OptLevel, make_rule_engine
+from repro.guest.asm import assemble
+from repro.miniqemu.machine import Machine
+from repro.miniqemu.tb import TranslationBlock
 from tests.support import run_workload
 
 LEVELS = [OptLevel.BASE, OptLevel.REDUCTION, OptLevel.ELIMINATION,
@@ -245,3 +248,93 @@ spin:
             rule_engine_factory=make_rule_engine(level))
         assert code == 0, f"{level.name}: not enough ticks"
         assert machine.irq_delivered > 10
+
+
+def test_smc_inside_one_run_matches_reference():
+    """A program that patches its own code before first execution runs
+    identically on the interpreter, the TCG baseline and the rule
+    engine: translation must see the patched bytes, not the assembled
+    ones."""
+    base = 0x1000
+    source = """
+    b main
+target:
+    mov r0, #1          @ overwritten before it ever executes
+    bx lr
+main:
+    ldr r1, =target
+    ldr r2, =word
+    ldr r2, [r2]
+    str r2, [r1]        @ patch: mov r0, #1  ->  mov r0, #42
+    bl target
+    ldr r10, =0x10000000
+    str r0, [r10]
+    ldr r10, =0x100F0000
+    mov r1, #0
+    str r1, [r10]
+word:
+    .word 0xE3A0002A    @ mov r0, #42
+"""
+    for engine, factory in (("interp", None), ("tcg", None),
+                            ("rules", make_rule_engine(OptLevel.FULL))):
+        machine = Machine(engine=engine, rule_engine_factory=factory)
+        machine.memory.load_program(assemble(source, base=base))
+        machine.cpu.regs[15] = base
+        machine.env.load_from_cpu(machine.cpu)
+        assert machine.run(200_000) == 0, engine
+        assert bytes(machine.uart.output) == b"\x2a", engine
+
+
+# ---------------------------------------------------------------------------
+# Regression: the successor live-in cache must not outlive coverage
+# changes (quarantine) or code-cache invalidation.
+# ---------------------------------------------------------------------------
+
+def _bare_rules_machine(source, base=0x2000):
+    machine = Machine(engine="rules",
+                      rule_engine_factory=make_rule_engine(OptLevel.FULL))
+    machine.memory.load_program(assemble(source, base=base))
+    return machine
+
+
+def test_live_in_cache_cleared_on_rule_quarantine():
+    """Reproduces the stale-elision bug: quarantining a rule turns its
+    instructions uncovered, which changes a successor block's live-in
+    from "flags dead" to "flags needed".  A cached pre-quarantine fact
+    would let a predecessor elide a flag sync the successor now needs.
+    """
+    from repro.core.rulebook import rule_key
+    from repro.guest.decoder import decode
+
+    pc = 0x2000
+    machine = _bare_rules_machine("    adds r0, r0, r1\n    bx lr\n",
+                                  base=pc)
+    engine = machine.engine
+    before = engine.successor_live_in(pc)
+    assert pc in engine._live_in_cache
+
+    adds = decode(int.from_bytes(machine.ram.data[pc:pc + 4], "little"), pc)
+    key = rule_key(adds)
+    assert engine.rulebook.covers(adds)
+    engine.ladder.quarantine_rule(key, "test")
+    engine.cache.invalidate_rules([key])
+
+    # The fix: coverage changed, so every cached live-in fact is gone.
+    assert engine._live_in_cache == {}
+    after = engine.successor_live_in(pc)
+    assert not engine.rulebook.covers(adds)
+    # The block's live-in genuinely changed — serving the cached value
+    # would have produced a wrong (stale) elision decision.
+    assert after != before
+
+
+def test_live_in_cache_dropped_per_victim_on_invalidation():
+    machine = _bare_rules_machine("    adds r0, r0, r1\n    bx lr\n")
+    engine = machine.engine
+    engine.successor_live_in(0x2000)
+    engine._live_in_cache[0x9000] = 7    # unrelated cached fact
+    tb = TranslationBlock(pc=0x2000, mmu_idx=0)
+    engine.cache.insert(tb)
+    engine.cache.invalidate(tb)
+    assert 0x2000 not in engine._live_in_cache
+    assert engine._live_in_cache.get(0x9000) == 7   # others survive
