@@ -2,8 +2,10 @@
 
 The paper evaluates the optimizations cumulatively (Fig 16); this bench
 toggles each :class:`~repro.core.OptConfig` switch independently on a
-representative workload subset to show where the win comes from, plus
-the interrupt-check relocation variant of Sec III-D-2.
+representative workload subset to show where the win comes from.
+``full`` is ``OptLevel.FULL``, which enables the same switches as
+``packed + elimination``: Sec III-D scheduling has no switch of its own
+because it reorders no block of the paper workloads (EXPERIMENTS.md).
 
 The sweep itself lives in :func:`repro.harness.ablation` so that
 ``repro bench`` (the continuous-benchmarking orchestrator) and this

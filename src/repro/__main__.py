@@ -234,7 +234,6 @@ def cmd_check(args) -> int:
     try:
         report = run_check(workloads=workloads, engines=engines,
                            rules=not args.no_rules,
-                           include_waivers=args.waivers,
                            inject=args.inject, profile=args.profile)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -509,9 +508,6 @@ def main(argv=None) -> int:
                                    "overrides the default set)")
     check_parser.add_argument("--no-rules", action="store_true",
                               help="skip the symbolic rulebook phase")
-    check_parser.add_argument("--waivers", action="store_true",
-                              help="also report info-level waivers "
-                                   "(documented imprecisions)")
     check_parser.add_argument("--profile", action="store_true",
                               help="attach profiler cost to findings")
     check_parser.add_argument("--inject", metavar="SPEC", default=None,

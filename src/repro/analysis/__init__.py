@@ -1,12 +1,10 @@
 """Static soundness verification of the rule-based translator.
 
-Three verifiers over one findings vocabulary (:mod:`.findings`):
+Two verifiers over one findings vocabulary (:mod:`.findings`):
 
 - :mod:`.dataflow` — abstract interpretation over emitted host code,
   proving every QEMU handoff site sees a coordinated ``env`` and every
   elided sync is justified (paper Sec III-C);
-- :mod:`.reorder` — dependence-graph replay of Sec III-D scheduling
-  decisions;
 - :mod:`.rulecheck` — bounded symbolic (BDD bit-blasting,
   :mod:`.bitblast`) classification of learned rules as
   ``proved`` / ``tested-only`` / ``refuted``.
@@ -25,7 +23,7 @@ from .findings import Finding, Report, Severity, severity_from_name
 
 __all__ = [
     "Finding", "Report", "Severity", "severity_from_name",
-    "check_tb", "run_check", "classify_candidate", "check_reorder",
+    "check_tb", "run_check", "classify_candidate",
 ]
 
 _LAZY = {
@@ -33,7 +31,6 @@ _LAZY = {
     "run_check": ("repro.analysis.checker", "run_check"),
     "classify_candidate": ("repro.analysis.rulecheck",
                            "classify_candidate"),
-    "check_reorder": ("repro.analysis.reorder", "check_reorder"),
 }
 
 

@@ -16,9 +16,8 @@ rules-tier block.  When profiling is enabled each finding carries the
 profiler-attributed cost of its TB, so findings sort by how much of the
 run they taint.
 
-A clean tree is expected to produce an empty report: every deliberate
-imprecision is either waived inside the dataflow checker or reported at
-``info`` only when explicitly requested (``include_waivers``).
+A clean tree is expected to produce an empty TB-phase report: every
+deliberate imprecision is waived inside the dataflow checker.
 """
 
 from __future__ import annotations
@@ -82,8 +81,7 @@ def check_rulebook(report: Report, budget: int = 250_000,
                 rule=candidate_id(candidate), witness=witness or None))
 
 
-def check_machine_tbs(machine, report: Report,
-                      include_waivers: bool = False) -> int:
+def check_machine_tbs(machine, report: Report) -> int:
     """Dataflow-check every rules-tier TB in *machine*'s code cache.
 
     Returns the number of TBs checked.  Injected TBs are checked like
@@ -97,9 +95,7 @@ def check_machine_tbs(machine, report: Report,
             continue
         checked += 1
         findings = check_tb(tb, engine.config,
-                            live_in_of=engine.successor_live_in,
-                            rulebook=engine.rulebook,
-                            include_waivers=include_waivers)
+                            live_in_of=engine.successor_live_in)
         if profiler is not None and findings:
             cost = sum(profiler.tags_for((tb.pc, tb.mmu_idx)).values())
             for finding in findings:
@@ -111,7 +107,6 @@ def check_machine_tbs(machine, report: Report,
 def check_workloads(report: Report,
                     workloads: Iterable[str] = DEFAULT_WORKLOADS,
                     engines: Iterable[str] = DEFAULT_ENGINES,
-                    include_waivers: bool = False,
                     inject=None, profile: bool = False) -> None:
     """Run each (workload, engine) pair and check the resulting TBs."""
     from ..harness.runner import make_machine
@@ -127,8 +122,7 @@ def check_workloads(report: Report,
             machine = make_machine(workload, engine, inject=inject,
                                    profiler=profiler)
             machine.run(workload.max_insns)
-            total_tbs += check_machine_tbs(machine, report,
-                                           include_waivers=include_waivers)
+            total_tbs += check_machine_tbs(machine, report)
             pairs += 1
     report.meta["tbs_checked"] = total_tbs
     report.meta["runs"] = pairs
@@ -136,14 +130,12 @@ def check_workloads(report: Report,
 
 def run_check(workloads: Iterable[str] = DEFAULT_WORKLOADS,
               engines: Iterable[str] = DEFAULT_ENGINES,
-              rules: bool = True, include_waivers: bool = False,
-              budget: int = 250_000, inject=None,
+              rules: bool = True, budget: int = 250_000, inject=None,
               profile: bool = False, quarantine=None) -> Report:
     """The full ``repro check`` pipeline; returns the aggregate report."""
     report = Report()
     if rules:
         check_rulebook(report, budget=budget, quarantine=quarantine)
     check_workloads(report, workloads=workloads, engines=engines,
-                    include_waivers=include_waivers, inject=inject,
-                    profile=profile)
+                    inject=inject, profile=profile)
     return report

@@ -42,7 +42,7 @@ The walk is anchored by the translator's audit events
 units against the expected emission shapes, so the checker never has to
 guess which host flag-write is a guest flag *production* versus a
 scratch clobber.  Everything the translator *claims* (elisions, chain
-edges, relocations) is re-derived independently; a claim that cannot be
+edges) is re-derived independently; a claim that cannot be
 reproduced is a finding, never a waiver.
 """
 
@@ -50,8 +50,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.analysis import F_ALL, analyze_block
-from ..guest.isa import Cond
+from ..core.analysis import F_ALL
 from ..host.isa import (EAX, EDX, ENV_REG, Imm, Mem, Reg, X86Cond, X86Insn,
                         X86Op)
 from ..miniqemu.env import (ENV_CF, ENV_NF, ENV_PACKED_FLAGS,
@@ -59,8 +58,7 @@ from ..miniqemu.env import (ENV_CF, ENV_NF, ENV_PACKED_FLAGS,
                             env_reg)
 from .findings import Finding, Severity
 from .justify import (EV_FALLBACK, EV_PRODUCE, EV_RESTORE, EV_SAVE,
-                      EV_TERMINAL, J_ELIDE_SAVE, J_INTER_TB, J_IRQ_RELOC,
-                      J_REORDER, ORIGINAL_INSNS_KEY, audit_of,
+                      EV_TERMINAL, J_ELIDE_SAVE, J_INTER_TB, audit_of,
                       justifications_of)
 
 # EFLAGS abstract locations.
@@ -175,13 +173,10 @@ class TbChecker:
     """Checks one translated TB; collect findings via :meth:`run`."""
 
     def __init__(self, tb, config,
-                 live_in_of: Optional[Callable[[int], int]] = None,
-                 rulebook=None, include_waivers: bool = False):
+                 live_in_of: Optional[Callable[[int], int]] = None):
         self.tb = tb
         self.config = config
         self.live_in_of = live_in_of
-        self.rulebook = rulebook
-        self.include_waivers = include_waivers
         self.code: List[X86Insn] = tb.code
         self.findings: List[Finding] = []
         events = audit_of(tb.meta or {})
@@ -193,12 +188,8 @@ class TbChecker:
             else:
                 self.range_at[event["start"]] = event
         self.justify_at: Dict[int, List[Dict[str, Any]]] = {}
-        self.block_justifications: List[Dict[str, Any]] = []
         for record in justifications_of(tb.meta or {}):
-            if record["kind"] in (J_REORDER, J_IRQ_RELOC):
-                self.block_justifications.append(record)
-            else:
-                self.justify_at.setdefault(record["index"], []).append(record)
+            self.justify_at.setdefault(record["index"], []).append(record)
 
     # -- reporting ---------------------------------------------------------
 
@@ -221,75 +212,9 @@ class TbChecker:
     # -- entry point -------------------------------------------------------
 
     def run(self) -> List[Finding]:
-        self._check_block_justifications()
         self._check_irq_presence()
         self._walk()
         return self.findings
-
-    # -- block-level justifications ---------------------------------------
-
-    def _check_block_justifications(self) -> None:
-        insns = self.tb.guest_insns
-        original = (self.tb.meta or {}).get(ORIGINAL_INSNS_KEY)
-        reorder_records = [r for r in self.block_justifications
-                           if r["kind"] == J_REORDER]
-        if original is not None:
-            from .reorder import check_reorder, reorder_waivers
-            if not reorder_records:
-                self._error("undeclared-reorder",
-                            "block was scheduled but carries no reorder "
-                            "justification")
-            for violation in check_reorder(original, insns):
-                self._error(violation["code"], violation["message"],
-                            witness=violation.get("witness"))
-            if self.include_waivers:
-                for waiver in reorder_waivers(original, insns):
-                    self._report(Severity.INFO, waiver["code"],
-                                 waiver["message"])
-        elif reorder_records:
-            self._error("bad-reorder-justification",
-                        "reorder justification without the original "
-                        "instruction order to validate it against")
-
-        for record in self.block_justifications:
-            if record["kind"] != J_IRQ_RELOC:
-                continue
-            self._check_irq_relocation(record, insns)
-
-    def _check_irq_relocation(self, record: Dict[str, Any], insns) -> None:
-        index = record["insn_index"]
-        if not (0 <= index < len(insns)):
-            self._error("bad-irq-relocation",
-                        f"relocated interrupt check names guest insn "
-                        f"{index}, block has {len(insns)}")
-            return
-        if not self.config.irq_scheduling:
-            self._error("bad-irq-relocation",
-                        "interrupt check relocated with irq scheduling "
-                        "disabled")
-            return
-        target = insns[index]
-        if record["resume_pc"] != target.addr:
-            self._error("bad-irq-relocation",
-                        f"relocation resume pc {record['resume_pc']:#x} "
-                        f"!= guest insn address {target.addr:#x}")
-            return
-        info = analyze_block(list(insns), self.rulebook)
-        if not target.is_memory():
-            self._error("bad-irq-relocation",
-                        "interrupt check relocated to a non-memory "
-                        f"instruction @{target.addr:#x}")
-            return
-        for item in info.insns[:index]:
-            insn = item.insn
-            if insn.cond != Cond.AL or item.is_site or insn.writes_pc():
-                self._error(
-                    "bad-irq-relocation",
-                    f"interrupt check relocated past "
-                    f"{insn.op.name.lower()}@{insn.addr:#x}, which is a "
-                    "site/conditional/pc-writer",
-                    witness={"guest_addr": insn.addr})
-                return
 
     def _check_irq_presence(self) -> None:
         if any(insn.tag == "irqcheck" and insn.op is X86Op.CMP
@@ -697,8 +622,7 @@ class TbChecker:
             state.regs.pop(insn.dst.number, None)
 
 
-def check_tb(tb, config, live_in_of: Optional[Callable[[int], int]] = None,
-             rulebook=None, include_waivers: bool = False) -> List[Finding]:
+def check_tb(tb, config, live_in_of: Optional[Callable[[int], int]] = None
+             ) -> List[Finding]:
     """Verify one translated TB; returns the (possibly empty) findings."""
-    return TbChecker(tb, config, live_in_of, rulebook,
-                     include_waivers).run()
+    return TbChecker(tb, config, live_in_of).run()

@@ -10,8 +10,8 @@ flag mask a forged inter-TB justification claimed was dead).
 Severities:
 
 ``info``
-    A deliberate, documented imprecision (e.g. the interrupt-observability
-    waiver on a legitimate inter-TB elision).  Never fails CI.
+    Worth knowing but not a defect (e.g. a learned rule that passed its
+    tests but could not be proved within the symbolic budget).
 ``warning``
     Suspicious but not provably unsound (e.g. an audit record that does
     not match the emitted code shape but has no semantic consequence).

@@ -1,7 +1,7 @@
 """Audit-event and justification-record schema for translated TBs.
 
-The translator no longer applies eliminations and reorders blind: every
-optimization decision leaves a machine-checkable record in ``tb.meta``.
+The translator does not apply eliminations blind: every optimization
+decision leaves a machine-checkable record in ``tb.meta``.
 Two kinds of record exist:
 
 **Audit events** (``tb.meta["audit"]``) describe *what was emitted* —
@@ -11,11 +11,11 @@ dataflow verifier anchor its abstract interpretation to the coordination
 protocol without pattern-matching heuristically.
 
 **Justification records** (``tb.meta["justifications"]``) describe *what
-was deliberately NOT emitted* (or was moved): an elided sync-save, an
-inter-TB chain edge whose end-of-block save was skipped, a scheduling
-reorder, a relocated interrupt check.  Each carries the claim that made
-the optimization legal; the checker re-derives the claim independently
-and flags any record it cannot reproduce.
+was deliberately NOT emitted*: an elided sync-save, or an inter-TB
+chain edge whose end-of-block save was skipped.  Each carries the host
+index and the claim that made the optimization legal; the checker
+re-derives the claim independently and flags any record it cannot
+reproduce.
 
 Both lists hold plain dicts (JSON-friendly apart from instruction
 references, which stay in-memory only).  Host instruction ranges are
@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Optional
 
 AUDIT_KEY = "audit"
 JUSTIFY_KEY = "justifications"
-ORIGINAL_INSNS_KEY = "original_insns"
 
 # Audit event kinds.
 EV_SAVE = "save"            # flag sync-save range
@@ -40,8 +39,6 @@ EV_TERMINAL = "terminal"    # helper call that never returns to the TB
 # Justification kinds.
 J_ELIDE_SAVE = "elide-save"   # Sec III-C-2: consecutive-site save elision
 J_INTER_TB = "inter-tb"       # Sec III-C-3: chain-edge save elision
-J_REORDER = "reorder"         # Sec III-D-1: define-before-use scheduling
-J_IRQ_RELOC = "irq-reloc"     # Sec III-D-2: relocated interrupt check
 
 
 def save_event(start: int, end: int, mode: str, reason: str) -> Dict[str, Any]:
@@ -104,23 +101,6 @@ def inter_tb_justification(index: int, target_pc: int,
     whose live-in flag requirement is *live_in* (must be 0)."""
     return {"kind": J_INTER_TB, "index": index,
             "target_pc": target_pc, "live_in": live_in}
-
-
-def reorder_justification(original: List[Any],
-                          scheduled: List[Any]) -> Dict[str, Any]:
-    """Claim: *scheduled* is a dependence-preserving permutation of
-    *original* (lists of guest instruction addresses)."""
-    return {"kind": J_REORDER, "original": list(original),
-            "scheduled": list(scheduled)}
-
-
-def irq_reloc_justification(insn_index: int,
-                            resume_pc: int) -> Dict[str, Any]:
-    """Claim: the interrupt check was relocated past the first
-    *insn_index* guest instructions; a pending IRQ resumes at
-    *resume_pc*."""
-    return {"kind": J_IRQ_RELOC, "insn_index": insn_index,
-            "resume_pc": resume_pc}
 
 
 def audit_of(meta: Dict[str, Any]) -> List[Dict[str, Any]]:

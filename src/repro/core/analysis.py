@@ -6,9 +6,7 @@ Computes, over the guest instructions of one block:
 - backward flag liveness (flags are conservatively live out of the block),
 - which instructions are coordination sites (memory / system / uncovered),
 - the live-in flag requirement of a block (used by the inter-TB
-  optimization to prove define-before-use in a chained successor),
-- the define-before-use and interrupt-driven scheduling reorders
-  (Sec III-D), implemented as a safe reordering of the instruction list.
+  optimization to prove define-before-use in a chained successor).
 """
 
 from __future__ import annotations
@@ -263,62 +261,3 @@ def analyze_block(insns: List[ArmInsn], rulebook=None) -> BlockInfo:
     # successors* still read.
     info.live_in = needed | (F_ALL & ~defined)
     return info
-
-
-# ---------------------------------------------------------------------------
-# Instruction scheduling (Sec III-D-1): hoist independent memory accesses
-# above a flag producer so that producer->consumer pairs become adjacent
-# and the memory access no longer splits a live flag range.
-# ---------------------------------------------------------------------------
-
-
-def _independent(mem: ArmInsn, producer: ArmInsn) -> bool:
-    """May *mem* be moved above *producer*?"""
-    if mem.cond != Cond.AL or producer.cond != Cond.AL:
-        return False
-    if flags_written(mem) or flags_read(mem):
-        return False
-    mem_reads, mem_writes = regs_read(mem), regs_written(mem)
-    prod_reads, prod_writes = regs_read(producer), regs_written(producer)
-    if mem_writes & (prod_reads | prod_writes):
-        return False
-    if mem_reads & prod_writes:
-        return False
-    return True
-
-
-def schedule_define_before_use(insns: List[ArmInsn]) -> List[ArmInsn]:
-    """Move ld/st instructions that sit between a flag producer and its
-    consumer to before the producer, when data dependences allow.
-
-    Stores may not move above other memory operations (aliasing); loads
-    may not move above stores.  PC-changing and system instructions are
-    barriers.
-    """
-    result = list(insns)
-    changed = True
-    while changed:
-        changed = False
-        for index in range(1, len(result)):
-            insn = result[index]
-            if not insn.is_memory() or insn.op in (Op.LDM, Op.STM):
-                continue
-            prev = result[index - 1]
-            if not flags_written(prev) or prev.writes_pc() or \
-                    prev.is_system():
-                continue
-            # Only useful if a consumer of prev's flags follows insn.
-            follows = result[index + 1:]
-            uses_later = any(flags_read(later) & flags_written(prev)
-                             for later in follows)
-            if not uses_later:
-                continue
-            if not _independent(insn, prev):
-                continue
-            # Memory ordering: moving a store above a non-memory flag
-            # producer is safe; moving above another memory op is not
-            # attempted (prev is a flag producer, never a memory op here,
-            # since memory ops do not write flags).
-            result[index - 1], result[index] = insn, prev
-            changed = True
-    return result

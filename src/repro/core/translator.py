@@ -1,7 +1,9 @@
 """The rule-based translator: one guest TB -> host code with coordination.
 
 This is the paper's rule-application phase (Sec III) with all four
-optimization levels.  The policies, by level:
+optimization levels.  The policies, by level (+Sched, the paper's
+Sec III-D level, applies the +Elimination policies; see
+:mod:`repro.core.config`):
 
 ========================  ======  ==========  ============  ======
 behaviour                 Base    +Reduction  +Elimination  +Sched
@@ -11,7 +13,6 @@ restore after each site   eager   eager       on demand     on demand
 restore per conditional   always  always      on demand     on demand
 save when env current     yes     yes         skipped       skipped
 TB-end save               always  always      inter-TB      inter-TB
-insn scheduling           --      --          --            yes
 ========================  ======  ==========  ============  ======
 
 "site" = any point where control may reach QEMU: the TB-entry interrupt
@@ -30,14 +31,12 @@ so both paths join in a consistent state.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..analysis.justify import (AUDIT_KEY, JUSTIFY_KEY, ORIGINAL_INSNS_KEY,
+from ..analysis.justify import (AUDIT_KEY, JUSTIFY_KEY,
                                 elide_save_justification, fallback_event,
-                                inter_tb_justification,
-                                irq_reloc_justification, produce_event,
-                                reorder_justification, terminal_event)
+                                inter_tb_justification, produce_event,
+                                terminal_event)
 from ..common.bitops import u32
 from ..guest.isa import (ArmInsn, COMPARE_OPS, Cond, DATA_PROCESSING_OPS,
                          Op, PC, ShiftKind, VFP_ARITH_OPS)
@@ -52,8 +51,8 @@ from ..miniqemu.helpers import (make_exception_return_helper,
                                 make_vfp_helper)
 from ..miniqemu.tb import (EXIT_INTERRUPT, EXIT_PC_UPDATED, TranslationBlock)
 from .alu import AluEmitter
-from .analysis import (BlockInfo, InsnInfo, analyze_block, flags_read,
-                       flags_written, schedule_define_before_use, F_ALL)
+from .analysis import (InsnInfo, analyze_block, flags_read, flags_written,
+                       F_ALL)
 from .condmap import CarryKind, skip_sequence
 from .config import OptConfig
 from .coordination import FlagsState, SyncStats
@@ -61,15 +60,6 @@ from .regcache import RegCache
 
 RULE_TAG = "rule"
 IRQ_TAG = "irqcheck"
-
-
-@dataclass
-class _ColdStub:
-    """A deferred interrupt-exit path with its state snapshot."""
-
-    label: str
-    resume_pc: int
-    dirty_snapshot: List[Tuple[int, int]]  # (guest reg, host reg)
 
 
 class RuleTranslator:
@@ -99,44 +89,24 @@ class RuleTranslator:
 
     def translate(self, pc: int, insns: List[ArmInsn]) -> TranslationBlock:
         config = self.config
-        original = list(insns)
-        if config.scheduling:
-            insns = schedule_define_before_use(insns)
-        reordered = any(a is not b for a, b in zip(original, insns))
         info = analyze_block(insns, self.rulebook)
 
         self.builder = builder = CodeBuilder(default_tag=RULE_TAG)
         self.stats = SyncStats()
         self._audit = []
         self._justifications = []
-        if reordered:
-            self._justifications.append(reorder_justification(
-                [i.addr for i in original], [i.addr for i in insns]))
         self.flags = FlagsState(builder, self.stats,
                                 packed=config.packed_sync,
                                 tracer=self.tracer,
                                 audit=self._audit)
         self.cache = RegCache(builder)
         self.alu = AluEmitter(builder, self.cache)
-        self._cold_stubs: List[_ColdStub] = []
         self._jmp_pcs: List[Optional[int]] = [None, None]
         self._ended = False
-        self._irq_checked = False
         self._prealloc_scratch: Optional[int] = None
 
-        # Interrupt check: at TB entry, or scheduled down to the first
-        # unconditional memory access (Sec III-D-2).
-        relocate_to = self._irq_relocation_index(info) \
-            if config.irq_scheduling else None
-        if relocate_to is None:
-            self._emit_irq_check(resume_pc=pc)
-        else:
-            self._justifications.append(irq_reloc_justification(
-                relocate_to, resume_pc=info.insns[relocate_to].insn.addr))
-
-        for index, item in enumerate(info.insns):
-            if relocate_to == index:
-                self._emit_irq_check(resume_pc=item.insn.addr)
+        irq_exit = self._emit_irq_check()
+        for item in info.insns:
             self._emit_insn(item)
             if self._ended:
                 break
@@ -145,7 +115,7 @@ class RuleTranslator:
             next_pc = u32((last.addr + 4) if last else pc)
             self._end_block(slot=0, target_pc=next_pc)
 
-        self._emit_cold_stubs()
+        self._emit_irq_exit(irq_exit, resume_pc=pc)
         code = builder.finish()
         tb = TranslationBlock(pc=pc, mmu_idx=self.mmu_idx,
                               guest_insns=insns, code=code)
@@ -169,54 +139,33 @@ class RuleTranslator:
             AUDIT_KEY: self._audit,
             JUSTIFY_KEY: self._justifications,
         }
-        if reordered:
-            tb.meta[ORIGINAL_INSNS_KEY] = original
         return tb
 
     # ------------------------------------------------------------------
     # Interrupt checks.
     # ------------------------------------------------------------------
 
-    def _irq_relocation_index(self, info: BlockInfo) -> Optional[int]:
-        """Index of the memory access to co-locate the check with."""
-        for index, item in enumerate(info.insns):
-            insn = item.insn
-            if insn.cond != Cond.AL:
-                return None
-            if insn.is_memory():
-                return index
-            if item.is_site or insn.writes_pc():
-                return None
-        return None
+    def _emit_irq_check(self) -> str:
+        """cmp [env.irq], 0; jne cold_exit  — clobbers EFLAGS.
 
-    def _emit_irq_check(self, resume_pc: int) -> None:
-        """cmp [env.irq], 0; jne cold_exit  — clobbers EFLAGS."""
+        Emitted at TB entry, where the guest CCR and every guest
+        register are still in env: nothing needs a sync-save and the
+        cold exit only has to set the pc.  Returns the exit's label.
+        """
         builder = self.builder
-        saved = self._sync_before_clobber()
         label = builder.new_label("irq")
         with builder.tagged(IRQ_TAG):
             builder.cmp(Mem(base=ENV_REG, disp=ENV_IRQ), Imm(0))
             builder.jcc(X86Cond.NE, label)
         self.flags.on_clobber()
-        if saved:
-            self._eager_restore()
-        snapshot = [(guest, host) for guest, host
-                    in sorted(self.cache.guest_to_host.items())
-                    if guest in self.cache.dirty]
-        self._cold_stubs.append(_ColdStub(label, resume_pc, snapshot))
-        self._irq_checked = True
+        return label
 
-    def _emit_cold_stubs(self) -> None:
+    def _emit_irq_exit(self, label: str, resume_pc: int) -> None:
         builder = self.builder
-        for stub in self._cold_stubs:
-            builder.bind(stub.label)
-            with builder.tagged(IRQ_TAG):
-                for guest, host in stub.dirty_snapshot:
-                    builder.mov(Mem(base=ENV_REG, disp=env_reg(guest)),
-                                Reg(host))
-                builder.mov(Mem(base=ENV_REG, disp=env_reg(PC)),
-                            Imm(stub.resume_pc))
-                builder.exit_tb(EXIT_INTERRUPT)
+        builder.bind(label)
+        with builder.tagged(IRQ_TAG):
+            builder.mov(Mem(base=ENV_REG, disp=env_reg(PC)), Imm(resume_pc))
+            builder.exit_tb(EXIT_INTERRUPT)
 
     # ------------------------------------------------------------------
     # Coordination policy helpers.

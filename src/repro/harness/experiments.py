@@ -379,7 +379,7 @@ ABLATION_SUBSET = ["mcf", "xalancbmk", "bzip2", "hmmer"]
 
 
 def _ablation_configs() -> Dict[str, "OptConfig"]:
-    from ..core import OptConfig
+    from ..core import OptConfig, OptLevel
 
     return {
         "base": OptConfig(),
@@ -390,14 +390,8 @@ def _ablation_configs() -> Dict[str, "OptConfig"]:
                                           eliminate_redundant=True,
                                           inter_tb=True),
         "full (no inter-TB)": OptConfig(packed_sync=True,
-                                        eliminate_redundant=True,
-                                        scheduling=True),
-        "full": OptConfig(packed_sync=True, eliminate_redundant=True,
-                          inter_tb=True, scheduling=True),
-        "full + irq-relocation": OptConfig(packed_sync=True,
-                                           eliminate_redundant=True,
-                                           inter_tb=True, scheduling=True,
-                                           irq_scheduling=True),
+                                        eliminate_redundant=True),
+        "full": OptConfig.from_level(OptLevel.FULL),
     }
 
 

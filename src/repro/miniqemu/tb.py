@@ -16,7 +16,7 @@ from ..guest.isa import ArmInsn
 
 # TB exit statuses (the EXIT_TB immediate).
 EXIT_PC_UPDATED = 0   # env.pc holds the next guest pc
-EXIT_INTERRUPT = 1    # the TB-entry (or scheduled) interrupt check fired
+EXIT_INTERRUPT = 1    # the TB-entry interrupt check fired
 EXIT_HALT = 2         # wfi executed
 EXIT_EXCEPTION = 3    # a helper delivered an exception; env.pc is the vector
 

@@ -102,7 +102,11 @@ def test_clean_rerun_is_bit_identical(clean_snapshot):
     again = run_suite(mode="custom", sweep_workloads=SWEEP,
                       name="again", wallclock_samples=2)
     report = compare_snapshots(clean_snapshot, again)
-    non_flat = [v for v in report.verdicts if v.verdict != VERDICT_FLAT]
+    # Wall-clock verdicts compare two 2-sample means and move with host
+    # load; as in ``exit_code``'s default, only the deterministic
+    # metrics must be flat.
+    non_flat = [v for v in report.verdicts if v.verdict != VERDICT_FLAT
+                and not v.metric.startswith("wallclock.")]
     assert non_flat == []
     assert report.exit_code("changed") == 0
     assert report.top_category is None
@@ -130,8 +134,12 @@ def test_injected_regression_is_caught_and_attributed(
     grew = {category for category, delta
             in report.category_deltas.items() if delta > 0}
     assert grew == {"coordination"}
+    # A wall-clock verdict is attributed to ``host-wallclock`` and may
+    # regress under host load; the attribution claim covers the
+    # deterministic metrics, the set ``exit_code`` gates by default.
     regressed = [v for v in report.verdicts
-                 if v.verdict == VERDICT_REGRESSED]
+                 if v.verdict == VERDICT_REGRESSED
+                 and not v.metric.startswith("wallclock.")]
     assert regressed
     for verdict in regressed:
         if not verdict.metric.startswith("coordination."):

@@ -6,14 +6,13 @@ import pytest
 from repro.core import (CarryKind, EmptyRulebook, MatureRulebook, OptConfig,
                         OptLevel, StructuralFilter, analyze_block,
                         flags_read, flags_written)
-from repro.core.analysis import (F_ALL, F_C, F_N, F_V, F_Z,
-                                 schedule_define_before_use)
+from repro.core.analysis import F_ALL, F_C, F_N, F_V, F_Z
 from repro.core.condmap import map_condition, negate, skip_sequence
 from repro.core.coordination import FlagsState, SyncStats
 from repro.core.regcache import CACHE_REGS, RegCache
 from repro.guest.asm import assemble
 from repro.guest.decoder import decode
-from repro.guest.isa import Cond, Op
+from repro.guest.isa import Cond
 from repro.host.builder import CodeBuilder
 from repro.host.isa import X86Cond, X86Op
 
@@ -94,43 +93,6 @@ def test_live_in_stops_at_helper():
     cmp r0, r1
 """))
     assert info.live_in == F_ALL  # the helper may read the CPSR
-
-
-# ---------------------------------------------------------------------------
-# Define-before-use scheduling.
-# ---------------------------------------------------------------------------
-
-def test_scheduler_hoists_independent_load():
-    insns = insns_of("""
-    cmp r0, r1
-    ldr r2, [r3]
-    bne target
-target:
-""")
-    scheduled = schedule_define_before_use(insns)
-    assert scheduled[0].op is Op.LDR
-    assert scheduled[1].op is Op.CMP
-
-
-def test_scheduler_respects_data_dependence():
-    insns = insns_of("""
-    cmp r0, r1
-    ldr r0, [r3]
-    bne target
-target:
-""")
-    # The load writes r0, which cmp reads: no reorder.
-    assert schedule_define_before_use(insns)[0].op is Op.CMP
-
-
-def test_scheduler_keeps_conditional_memory_in_place():
-    insns = insns_of("""
-    cmp r0, r1
-    ldreq r2, [r3]
-    bne target
-target:
-""")
-    assert schedule_define_before_use(insns)[0].op is Op.CMP
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +239,11 @@ def test_structural_filter_rejects_carry_consuming_shift():
 def test_opt_config_levels_are_cumulative():
     base = OptConfig.from_level(OptLevel.BASE)
     assert not any([base.packed_sync, base.eliminate_redundant,
-                    base.inter_tb, base.scheduling])
+                    base.inter_tb])
     full = OptConfig.from_level(OptLevel.FULL)
-    assert all([full.packed_sync, full.eliminate_redundant, full.inter_tb,
-                full.scheduling])
-    assert not full.irq_scheduling  # ablation-only switch
+    assert all([full.packed_sync, full.eliminate_redundant, full.inter_tb])
+    # Sec III-D adds no switch of its own (EXPERIMENTS.md).
+    assert full == OptConfig.from_level(OptLevel.ELIMINATION)
 
 
 def test_empty_rulebook_covers_nothing():

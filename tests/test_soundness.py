@@ -6,7 +6,7 @@ Three claims are pinned here:
    on everything the translator emits, at every optimization level.
 2. **Injected violations are caught**: every analysis-level fault the
    injector plants (dropped sync-save, forged elision justification,
-   forged inter-TB claim, illegal reorder, refuted rule) produces an
+   forged inter-TB claim, refuted rule) produces an
    ERROR finding — and the ``--check`` engine mode degrades the block
    before it can execute.
 3. **Satellite regressions**: the may/definite flag-def split in
@@ -21,8 +21,8 @@ import pytest
 from repro.analysis.dataflow import check_tb
 from repro.analysis.findings import Report, Severity
 from repro.analysis.justify import (AUDIT_KEY, EV_SAVE, J_INTER_TB,
-                                    JUSTIFY_KEY, ORIGINAL_INSNS_KEY,
-                                    audit_of, inter_tb_justification,
+                                    JUSTIFY_KEY, audit_of,
+                                    inter_tb_justification,
                                     justifications_of)
 from repro.core import OptConfig, OptLevel, make_rule_engine
 from repro.core.analysis import (F_ALL, F_C, F_N, F_V, F_Z,
@@ -40,7 +40,8 @@ ALL_LEVELS = (OptLevel.BASE, OptLevel.REDUCTION, OptLevel.ELIMINATION,
 
 #: Representative translation sources: flag producers around memory
 #: sites (coordination), conditional runs (restore paths), inter-TB
-#: edges, scheduling fodder, and a flags-live-across-everything block.
+#: edges, a load between a flag producer and its consumer (the paper's
+#: Fig 12 block), and a flags-live-across-everything block.
 CLEAN_SOURCES = {
     "mem-coordination": """
     cmp r1, #10
@@ -65,7 +66,7 @@ next:
 elsewhere:
     nop
 """,
-    "schedule": """
+    "load-between-producer-and-consumer": """
     cmp r1, r2
     ldr r3, [r4]
     bne target
@@ -102,10 +103,9 @@ def make_engine(source, level=OptLevel.FULL, inject=None, check=False,
     return RuleEngine(machine, level=level, config=config, check=check)
 
 
-def findings_of(engine, tb, **kw):
+def findings_of(engine, tb):
     return check_tb(tb, engine.config,
-                    live_in_of=engine.successor_live_in,
-                    rulebook=engine.rulebook, **kw)
+                    live_in_of=engine.successor_live_in)
 
 
 def errors_of(findings):
@@ -131,14 +131,6 @@ def test_clean_translation_emits_audit_records():
     tb = engine.translate(BASE_ADDR, 0)
     kinds = {event["kind"] for event in audit_of(tb.meta)}
     assert "save" in kinds and "produce" in kinds
-
-
-def test_waivers_reported_only_on_request():
-    engine = make_engine(CLEAN_SOURCES["inter-tb"], OptLevel.ELIMINATION)
-    tb = engine.translate(BASE_ADDR, 0)
-    assert findings_of(engine, tb) == []
-    waived = findings_of(engine, tb, include_waivers=True)
-    assert all(f.severity is Severity.INFO for f in waived)
 
 
 # ---------------------------------------------------------------------------
@@ -196,43 +188,6 @@ def test_forged_inter_tb_claim_is_flagged():
     witness = next(f.witness for f in errors
                    if f.code == "bad-inter-tb-justification")
     assert witness["recomputed"] != 0
-
-
-def test_tampered_reorder_is_flagged():
-    engine = make_engine(CLEAN_SOURCES["schedule"], OptLevel.FULL)
-    tb = engine.translate(BASE_ADDR, 0)
-    original = tb.meta.get(ORIGINAL_INSNS_KEY)
-    assert original, "scheduling should have reordered this block"
-    assert findings_of(engine, tb) == []
-    # Claim the block was ALREADY in scheduled order: the dependence
-    # replay must reject the (now wrong) permutation evidence.
-    source = """
-    ldr r3, [r4]
-    cmp r1, r2
-    bne target
-target:
-    nop
-"""
-    fake = [decode(int.from_bytes(chunk, "little"), insn.addr)
-            for chunk, insn in zip(
-                _words(assemble(source, base=BASE_ADDR)), original)]
-    tb.meta[ORIGINAL_INSNS_KEY] = fake
-    # The claimed original must disagree with the reorder record.
-    assert errors_of(findings_of(engine, tb))
-
-
-def _words(program):
-    data = program.data
-    return [data[i:i + 4] for i in range(0, len(data), 4)]
-
-
-def test_missing_reorder_record_is_flagged():
-    engine = make_engine(CLEAN_SOURCES["schedule"], OptLevel.FULL)
-    tb = engine.translate(BASE_ADDR, 0)
-    tb.meta[JUSTIFY_KEY] = [r for r in justifications_of(tb.meta)
-                            if r["kind"] != "reorder"]
-    errors = errors_of(findings_of(engine, tb))
-    assert "undeclared-reorder" in {f.code for f in errors}
 
 
 def test_refuted_fixture_rule_is_quarantined():

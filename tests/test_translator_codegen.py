@@ -1,8 +1,8 @@
 """Static codegen properties of the rule translator, per optimization.
 
 These tests pin the paper's mechanisms at the generated-code level:
-Fig 9 (redundant restores), Fig 10 (consecutive memory ops), Fig 11
-(inter-TB elimination) and Fig 12 (define-before-use scheduling).
+Fig 9 (redundant restores), Fig 10 (consecutive memory ops) and Fig 11
+(inter-TB elimination).
 """
 
 import pytest
@@ -119,61 +119,6 @@ def test_inter_tb_elides_end_save_when_successor_defines_first():
 def test_inter_tb_keeps_save_when_successor_reads_flags():
     tb = translate(INTER_TB_LIVE, OptLevel.ELIMINATION)
     assert tb.meta["sync_saves"] == 1
-
-
-# ---------------------------------------------------------------------------
-# Fig 12: define-before-use scheduling.
-# ---------------------------------------------------------------------------
-
-DEFINE_BEFORE_USE = """
-    cmp r1, r2
-    ldr r3, [r4]
-    bne target
-target:
-    nop
-"""
-
-
-def test_scheduling_reorders_the_load_above_the_producer():
-    scheduled = translate(DEFINE_BEFORE_USE, OptLevel.FULL)
-    assert scheduled.guest_insns[0].op.name == "LDR"
-    # With the load hoisted above the producer, no flag save/restore
-    # surrounds the memory access any more: the first flag-coordination
-    # instruction comes after the guest compare.
-    flag_sync_ops = {X86Op.PUSHFD, X86Op.POPFD, X86Op.SETCC, X86Op.CMC}
-    guest_cmp_index = next(i for i, insn in enumerate(scheduled.code)
-                           if insn.op is X86Op.CMP and insn.tag == "rule")
-    before_cmp = scheduled.code[:guest_cmp_index]
-    assert not [insn for insn in before_cmp
-                if insn.op in flag_sync_ops]
-
-
-def test_scheduling_reduces_dynamic_sync_cost():
-    """Dynamically (one path executes), scheduling strictly wins."""
-    from repro.core import make_rule_engine
-    from tests.support import run_workload
-
-    body = """
-main:
-    ldr r4, =USER_HEAP
-    ldr r5, =20000
-loop:
-    cmp r5, r9
-    ldr r3, [r4]
-    bne cont
-cont:
-    subs r5, r5, #1
-    bne loop
-    mov r0, #0
-    bl uexit
-"""
-    costs = {}
-    for level in (OptLevel.ELIMINATION, OptLevel.FULL):
-        _, _, machine = run_workload(
-            body, engine="rules",
-            rule_engine_factory=make_rule_engine(level))
-        costs[level] = machine.stats().get("engine.tag_sync", 0.0)
-    assert costs[OptLevel.FULL] < costs[OptLevel.ELIMINATION]
 
 
 # ---------------------------------------------------------------------------
