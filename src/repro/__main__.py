@@ -351,7 +351,7 @@ def cmd_bench(args) -> int:
 
 
 def _bench_experiment(args) -> int:
-    """Legacy mode: print one paper figure (or ``all``)."""
+    """Print one paper figure (or ``all``)."""
     names = sorted(ALL_EXPERIMENTS) if args.experiment == "all" \
         else [args.experiment]
     for name in names:
@@ -401,7 +401,6 @@ def _bench_suite(args) -> int:
     try:
         snapshot = run_suite(
             mode=mode, sweep_workloads=sweep, inject=args.inject,
-            wallclock_samples=args.samples,
             results_dir=RESULTS_DIR if args.export_results else None,
             progress=progress)
     except (ReproError, ValueError) as error:
@@ -432,8 +431,7 @@ def _bench_suite(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        report = compare_snapshots(baseline, snapshot,
-                                   gate_wallclock=args.gate_wallclock)
+        report = compare_snapshots(baseline, snapshot)
     except IncomparableSnapshots as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -559,8 +557,8 @@ def main(argv=None) -> int:
              "print one paper figure")
     bench_parser.add_argument(
         "experiment", nargs="?", default=None,
-        help="legacy mode: print this experiment (or 'all') and exit; "
-             "omit to run the suite")
+        help="print this experiment (or 'all') and exit; omit to run "
+             "the suite")
     bench_parser.add_argument("--quick", action="store_true",
                               help="SPEC-sweep experiments only (skips "
                                    "ablation/fig19/footnote3)")
@@ -588,12 +586,6 @@ def main(argv=None) -> int:
     bench_parser.add_argument("--export-results", action="store_true",
                               help="also write benchmarks/results/"
                                    "<name>.{txt,json} companions")
-    bench_parser.add_argument("--samples", type=int, default=None,
-                              help="wall-clock translation samples "
-                                   "(default per mode)")
-    bench_parser.add_argument("--gate-wallclock", action="store_true",
-                              help="let wall-clock metrics fail the gate "
-                                   "(off by default: CI jitter)")
 
     learn_parser = sub.add_parser("learn", help="run the learning pipeline")
     learn_parser.add_argument("--save", metavar="PATH", default=None)

@@ -35,7 +35,8 @@ class OptConfig:
     """Feature switches derived from an :class:`OptLevel`.
 
     The switches can also be toggled individually for ablation studies
-    (see ``benchmarks/bench_ablation.py``).
+    (see :func:`repro.harness.ablation`, printed by ``repro bench
+    ablation``).
     """
 
     packed_sync: bool = False          # Sec III-B

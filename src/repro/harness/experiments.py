@@ -1,9 +1,10 @@
 """Per-experiment reproduction: one function per paper table/figure.
 
-Each experiment returns a structured result (plus a rendered text table)
-so the benchmarks can assert the paper's qualitative claims — who wins,
-monotonic improvements, relative orderings — without depending on exact
-magnitudes.  Paper reference values are attached for side-by-side
+Each experiment returns a structured result (plus a rendered text table).
+``repro bench`` records the rows and summaries in ``BENCH_0.json``, where
+``tests/test_paper_claims.py`` asserts the paper's qualitative claims —
+who wins, monotonic improvements, relative orderings — without depending
+on exact magnitudes.  Paper reference values are attached for side-by-side
 reporting in EXPERIMENTS.md.
 """
 

@@ -147,7 +147,7 @@ def run_workload(workload: Workload, engine: str,
 
 
 # ---------------------------------------------------------------------------
-# Process-wide memoization: the figure benchmarks share one sweep.
+# Process-wide memoization: the figure experiments share one sweep.
 # ---------------------------------------------------------------------------
 
 _CACHE: Dict[Tuple[str, str, str], RunResult] = {}

@@ -23,13 +23,15 @@ Continuous benchmarking (``repro bench``) builds on all four:
 
 - :mod:`~repro.observability.bench` — the suite orchestrator that runs
   the paper experiments through the shared sweep cache and folds them
-  into one trajectory snapshot.
+  into one deterministic trajectory snapshot.
 - :mod:`~repro.observability.baseline` — the canonical snapshot format
   (``BENCH_<n>.json``), its schema validator, and the schema of the
   ``benchmarks/results/<name>.json`` payloads.
 - :mod:`~repro.observability.regress` — the snapshot comparator:
-  exact gating for deterministic cost-model metrics, bootstrap CIs for
-  wall-clock samples, and Sec III category attribution of regressions.
+  exact gating of the cost-model metrics and Sec III category
+  attribution of regressions.
+
+Wall-clock time is measured by ``wallbench/``, not by ``repro bench``.
 """
 
 from .baseline import (iter_metrics, load_snapshot, next_snapshot_path,
@@ -43,7 +45,7 @@ from .profile import (COORDINATION_CATEGORIES, Profiler, build_profile,
                       coordination_breakdown, render_profile)
 from .regress import (ComparisonReport, GATE_LEVELS,
                       IncomparableSnapshots, MetricVerdict,
-                      bootstrap_ratio_ci, compare_snapshots)
+                      compare_snapshots)
 from .stats import STAT_NAMESPACES, merge_stats, namespace_group
 from .trace import (FLIGHT_RECORDER_EVENTS, NULL_TRACER, NullTracer,
                     TraceEvent, Tracer)
@@ -53,7 +55,7 @@ __all__ = [
     "FULL_EXPERIMENTS", "GATE_LEVELS", "IncomparableSnapshots",
     "MetricVerdict", "NULL_TRACER", "NullTracer", "Profiler",
     "QUICK_EXPERIMENTS", "STAT_NAMESPACES", "TIER_ENGINES", "TraceEvent",
-    "Tracer", "bootstrap_ratio_ci", "build_profile", "chrome_trace",
+    "Tracer", "build_profile", "chrome_trace",
     "compare_snapshots", "coordination_breakdown", "iter_metrics",
     "load_snapshot", "merge_stats", "namespace_group",
     "next_snapshot_path", "render_profile", "render_snapshot",

@@ -1,13 +1,13 @@
 """Continuous-benchmarking orchestrator behind ``repro bench``.
 
-One call to :func:`run_suite` replaces the thirteen one-off
-``benchmarks/bench_*.py`` invocations: it drives the paper experiments
-through the shared sweep cache (:mod:`repro.harness.runner`), folds the
-sweep into per-engine-tier totals, Sec III coordination breakdowns,
-sync-site counters and rule-coverage fractions, samples the
-translator's wall-clock throughput, and returns one schema-validated
+:func:`run_suite` drives the paper experiments through the shared
+sweep cache (:mod:`repro.harness.runner`), folds the sweep into
+per-engine-tier totals, Sec III coordination breakdowns, sync-site
+counters and rule-coverage fractions, and returns one schema-validated
 snapshot dict (see :mod:`.baseline`) ready to be written as
-``BENCH_<n>.json`` and gated by :mod:`.regress`.
+``BENCH_<n>.json`` and gated by :mod:`.regress`.  Every value comes
+from the deterministic cost model; wall-clock time is measured by the
+separate ``wallbench/`` benchmark.
 
 The suite accepts an ``--inject`` fault plan, threaded through every
 cached run: the injector's ``extra-sync`` site turns the harness into a
@@ -20,7 +20,6 @@ category).
 from __future__ import annotations
 
 import os
-import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .baseline import SCHEMA, SCHEMA_VERSION, fingerprint
@@ -47,44 +46,6 @@ FULL_EXPERIMENTS = QUICK_EXPERIMENTS + ("ablation", "fig19", "footnote3")
 #: benchmarks/results file stem when it differs from the experiment id.
 RESULT_NAMES = {"fig8": "fig08"}
 
-#: Wall-clock samples per mode.
-WALLCLOCK_SAMPLES = {"full": 30, "quick": 10, "custom": 5}
-
-#: The fixed block the translator-throughput sampler times (mirrors
-#: ``benchmarks/bench_translation.py``).
-_WALLCLOCK_BLOCK = """
-    add r0, r1, r2
-    subs r3, r0, #17
-    and r4, r3, r0, lsl #2
-    ldr r5, [r4, #8]
-    str r5, [r4, #12]
-    cmp r5, r0
-    bne target
-target:
-    bx lr
-"""
-_WALLCLOCK_BASE = 0x40000
-
-
-def _sample_translation_wallclock(samples: int) -> Dict[str, Any]:
-    """Time rule-based translation of a fixed block *samples* times."""
-    from ..core import OptLevel
-    from ..core.engine import RuleEngine
-    from ..guest.asm import assemble
-    from ..miniqemu.machine import Machine
-
-    machine = Machine(engine="tcg")
-    machine.memory.load_program(assemble(_WALLCLOCK_BLOCK,
-                                         base=_WALLCLOCK_BASE))
-    engine = RuleEngine(machine, level=OptLevel.FULL)
-    times: List[float] = []
-    for _ in range(samples):
-        start = time.perf_counter()
-        tb = engine.translate(_WALLCLOCK_BASE, 0)
-        times.append(max(time.perf_counter() - start, 1e-9))
-    return {"samples": times, "unit": "seconds",
-            "block_guest_insns": tb.guest_insn_count}
-
 
 def _sum_stat(runs: List[Any], key: str) -> float:
     return float(sum(run.stats.get(key, 0.0) for run in runs))
@@ -95,7 +56,6 @@ def run_suite(mode: str = "full",
               sweep_workloads: Optional[Tuple[str, ...]] = None,
               engines: Tuple[str, ...] = TIER_ENGINES,
               inject: Optional[str] = None,
-              wallclock_samples: Optional[int] = None,
               name: str = "bench",
               results_dir: Optional[str] = None,
               progress: Optional[Callable[[str], None]] = None
@@ -187,12 +147,6 @@ def run_suite(mode: str = "full",
                         covered / max(covered + uncovered, 1.0),
                 }
 
-        say("wall-clock translation sampling")
-        samples = wallclock_samples if wallclock_samples is not None \
-            else WALLCLOCK_SAMPLES.get(mode, 5)
-        wallclock = {"translate_block":
-                     _sample_translation_wallclock(samples)}
-
         return {
             "schema": SCHEMA,
             "schema_version": SCHEMA_VERSION,
@@ -203,7 +157,6 @@ def run_suite(mode: str = "full",
             "coordination": coordination,
             "sync": sync,
             "coverage": coverage,
-            "wallclock": wallclock,
             "fingerprint": fingerprint(
                 mode, tuple(sweep_workloads), tuple(engines),
                 tuple(experiments),
@@ -214,8 +167,8 @@ def run_suite(mode: str = "full",
 
 
 def _export_result(results_dir: str, name: str, result: Any) -> None:
-    """Write one experiment's ``<name>.txt`` / ``<name>.json`` pair in
-    the same validated format ``benchmarks/conftest.save_result`` uses."""
+    """Write one experiment's ``<name>.txt`` / ``<name>.json`` pair,
+    schema-checked by :func:`.baseline.validate_result_payload`."""
     import json
 
     from .baseline import validate_result_payload
@@ -300,12 +253,4 @@ def render_snapshot(snapshot: Dict[str, Any]) -> str:
             ["Figure metric", "Value"], rows,
             title="per-figure summary scalars"))
 
-    wallclock = snapshot.get("wallclock", {})
-    for name, entry in wallclock.items():
-        samples = entry.get("samples", [])
-        if samples:
-            mean = sum(samples) / len(samples)
-            sections.append(f"wall-clock {name}: mean "
-                            f"{1e6 * mean:.1f}us over {len(samples)} "
-                            f"samples")
     return "\n\n".join(sections)

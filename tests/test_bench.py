@@ -15,14 +15,12 @@ The load-bearing guarantees under test:
 - the comparator handles schema drift: added/removed/skipped metrics,
   zero-valued baselines, and non-finite scalars each get the right
   verdict and gate at the right ``--fail-on`` level;
-- ``benchmarks/conftest.save_result`` refuses to persist metric-free
-  or schema-invalid payloads.
+- the result-payload validator refuses metric-free or non-finite
+  payloads.
 """
 
-import importlib.util
 import json
 import math
-import pathlib
 
 import pytest
 
@@ -38,8 +36,7 @@ from repro.observability.regress import (GATE_LEVELS, VERDICT_ADDED,
                                          VERDICT_CHANGED, VERDICT_FLAT,
                                          VERDICT_IMPROVED, VERDICT_INVALID,
                                          VERDICT_REGRESSED, VERDICT_REMOVED,
-                                         VERDICT_SKIPPED,
-                                         bootstrap_ratio_ci)
+                                         VERDICT_SKIPPED)
 from repro.workloads import ALL_WORKLOADS
 
 SWEEP = ("sjeng",)
@@ -48,14 +45,13 @@ INJECT = "seed=1,extra-sync=0.5"
 
 @pytest.fixture(scope="module")
 def clean_snapshot():
-    return run_suite(mode="custom", sweep_workloads=SWEEP,
-                     name="clean", wallclock_samples=2)
+    return run_suite(mode="custom", sweep_workloads=SWEEP, name="clean")
 
 
 @pytest.fixture(scope="module")
 def injected_snapshot():
     return run_suite(mode="custom", sweep_workloads=SWEEP,
-                     name="injected", inject=INJECT, wallclock_samples=2)
+                     name="injected", inject=INJECT)
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +95,9 @@ def test_next_snapshot_path_skips_existing(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_clean_rerun_is_bit_identical(clean_snapshot):
-    again = run_suite(mode="custom", sweep_workloads=SWEEP,
-                      name="again", wallclock_samples=2)
+    again = run_suite(mode="custom", sweep_workloads=SWEEP, name="again")
     report = compare_snapshots(clean_snapshot, again)
-    # Wall-clock verdicts compare two 2-sample means and move with host
-    # load; as in ``exit_code``'s default, only the deterministic
-    # metrics must be flat.
-    non_flat = [v for v in report.verdicts if v.verdict != VERDICT_FLAT
-                and not v.metric.startswith("wallclock.")]
-    assert non_flat == []
+    assert [v for v in report.verdicts if v.verdict != VERDICT_FLAT] == []
     assert report.exit_code("changed") == 0
     assert report.top_category is None
 
@@ -134,12 +124,8 @@ def test_injected_regression_is_caught_and_attributed(
     grew = {category for category, delta
             in report.category_deltas.items() if delta > 0}
     assert grew == {"coordination"}
-    # A wall-clock verdict is attributed to ``host-wallclock`` and may
-    # regress under host load; the attribution claim covers the
-    # deterministic metrics, the set ``exit_code`` gates by default.
     regressed = [v for v in report.verdicts
-                 if v.verdict == VERDICT_REGRESSED
-                 and not v.metric.startswith("wallclock.")]
+                 if v.verdict == VERDICT_REGRESSED]
     assert regressed
     for verdict in regressed:
         if not verdict.metric.startswith("coordination."):
@@ -173,7 +159,7 @@ def _tiny_snapshot(host_cost=100.0, coordination=20.0, summary=None,
         "coordination": {"rules-full": {"body": body,
                                         "coordination": coordination,
                                         "total": host_cost}},
-        "sync": {}, "coverage": {}, "wallclock": {},
+        "sync": {}, "coverage": {},
         "fingerprint": {"sweep_workloads": list(sweep),
                         "engines": ["rules-full"],
                         "experiments": list(experiments)},
@@ -277,15 +263,6 @@ def test_gate_levels_are_nested():
         <= set(GATE_LEVELS["changed"])
 
 
-def test_bootstrap_ci_is_deterministic_and_brackets_ratio():
-    base = [1.0, 1.1, 0.9, 1.05, 0.95]
-    cur = [2.0, 2.2, 1.8, 2.1, 1.9]
-    lo, hi = bootstrap_ratio_ci(base, cur)
-    assert (lo, hi) == bootstrap_ratio_ci(base, cur)
-    assert lo <= 2.0 <= hi * 1.2
-    assert lo > 1.5  # a genuine 2x slowdown is clearly outside noise
-
-
 # ---------------------------------------------------------------------------
 # Metric enumeration.
 # ---------------------------------------------------------------------------
@@ -298,11 +275,10 @@ def test_iter_metrics_directions(clean_snapshot):
     assert metrics["coordination.rules-full.coordination"] == DOWN
     assert metrics["sync.rules-full.sync_elisions_dyn"] == UP
     assert metrics["coverage.rules-full.covered_fraction"] == UP
-    assert not any(m.startswith("wallclock.") for m in metrics)
 
 
 # ---------------------------------------------------------------------------
-# Result-payload schema + benchmarks/conftest.save_result.
+# Result-payload schema.
 # ---------------------------------------------------------------------------
 
 def test_validate_result_payload_rejects_empty_and_nonfinite():
@@ -321,59 +297,18 @@ def test_validate_result_payload_rejects_empty_and_nonfinite():
         {"name": "x", "rows": [], "summary": {"a": 1.0}}) == []
 
 
-@pytest.fixture
-def save_result(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "bench_conftest",
-        pathlib.Path(__file__).parent.parent / "benchmarks" /
-        "conftest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
-    return module.save_result
-
-
-def test_save_result_rejects_bare_string(save_result):
-    with pytest.raises(TypeError, match="summary"):
-        save_result("smoke", "just some rendered text")
-
-
-def test_save_result_rejects_nonfinite_summary(save_result):
-    with pytest.raises(ValueError, match="schema"):
-        save_result("smoke", "text", summary={"metric": math.nan})
-
-
-def test_save_result_accepts_string_with_summary(save_result, tmp_path):
-    save_result("smoke", "rendered text", summary={"metric": 3.0})
-    payload = json.loads((tmp_path / "smoke.json").read_text())
-    assert payload["summary"] == {"metric": 3.0}
-    assert (tmp_path / "smoke.txt").read_text() == "rendered text\n"
-
-
-def test_save_result_accepts_experiment_result(save_result, tmp_path):
-    from repro.harness import ExperimentResult
-
-    result = ExperimentResult("smoke", rows=[{"w": "sjeng", "v": 1.5}],
-                              summary={"geomean": 1.5}, text="tbl")
-    save_result("smoke", result, config={"engine": "tcg"})
-    payload = json.loads((tmp_path / "smoke.json").read_text())
-    assert payload["rows"] == [{"w": "sjeng", "v": 1.5}]
-    assert payload["config"] == {"engine": "tcg"}
-
-
 # ---------------------------------------------------------------------------
 # The CLI verb (suite mode + the gate's exit codes).
 # ---------------------------------------------------------------------------
 
 def test_cli_bench_gate_catches_injected_regression(tmp_path, capsys):
     base = str(tmp_path / "base.json")
-    code = main(["bench", "--workload", "sjeng", "--samples", "2",
-                 "--out", base])
+    code = main(["bench", "--workload", "sjeng", "--out", base])
     assert code == 0
     assert validate_snapshot(load_snapshot(base)) == []
 
-    code = main(["bench", "--workload", "sjeng", "--samples", "2",
-                 "--inject", INJECT, "--out", str(tmp_path / "cur.json"),
+    code = main(["bench", "--workload", "sjeng", "--inject", INJECT,
+                 "--out", str(tmp_path / "cur.json"),
                  "--compare", base, "--format", "json"])
     assert code == 1
     out = capsys.readouterr().out
@@ -384,9 +319,8 @@ def test_cli_bench_gate_catches_injected_regression(tmp_path, capsys):
 
 def test_cli_bench_clean_compare_exits_zero(tmp_path):
     base = str(tmp_path / "base.json")
-    assert main(["bench", "--workload", "sjeng", "--samples", "2",
-                 "--out", base]) == 0
-    assert main(["bench", "--workload", "sjeng", "--samples", "2",
+    assert main(["bench", "--workload", "sjeng", "--out", base]) == 0
+    assert main(["bench", "--workload", "sjeng",
                  "--out", str(tmp_path / "cur.json"),
                  "--compare", base]) == 0
 
@@ -394,9 +328,9 @@ def test_cli_bench_clean_compare_exits_zero(tmp_path):
 def test_cli_bench_usage_errors(tmp_path):
     assert main(["bench", "--workload", "nope",
                  "--out", str(tmp_path / "s.json")]) == 2
-    assert main(["bench", "--workload", "sjeng", "--samples", "2",
+    assert main(["bench", "--workload", "sjeng",
                  "--out", str(tmp_path / "s.json"),
                  "--fail-on", "bogus"]) == 2
-    assert main(["bench", "--workload", "sjeng", "--samples", "2",
+    assert main(["bench", "--workload", "sjeng",
                  "--out", str(tmp_path / "s2.json"),
                  "--compare", str(tmp_path / "missing.json")]) == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import OptLevel, make_rule_engine
 from repro.guest.asm import assemble
 from repro.guest.cpu import GuestCpu
 from repro.guest.interp import Interpreter
@@ -9,6 +10,7 @@ from repro.host.cpu import HostCpu
 from repro.host.interp import HostInterpreter
 from repro.host.isa import EAX, REG_NAMES
 from repro.host.memory import HostMemory
+from repro.kernel.kernel import build_kernel, build_user_program
 from repro.learning import (LearnedRulebook, TRAINING_SOURCE, extract_all,
                             learn, verify)
 from repro.learning.symexec.expr import (App, Const, Sym, const, equivalent,
@@ -16,6 +18,8 @@ from repro.learning.symexec.expr import (App, Const, Sym, const, equivalent,
 from repro.learning.toycc.codegen_arm import compile_arm
 from repro.learning.toycc.codegen_x86 import compile_x86
 from repro.learning.toycc.parser import ParseError, parse
+from repro.miniqemu.machine import Machine
+from repro.workloads.spec import SPEC_WORKLOADS
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +240,7 @@ def test_learn_end_to_end():
     assert result.verified >= 0.9 * result.candidates
     assert result.proved == result.verified  # normalizer closes everything
     assert len(result.rules) >= 30
+    assert len(result.rules) < result.verified  # parameterization compresses
     assert isinstance(result.rulebook, LearnedRulebook)
     # Opcode parameterization must have merged at least one ALU family.
     assert any(rule.opcode_class for rule in result.rules)
@@ -261,3 +266,36 @@ def test_learned_rulebook_covers_common_instructions():
     # System instructions can never be learned from user-level code.
     assert not covered("mcr p15, 0, r0, c2, c0, 0")
     assert not covered("svc #0")
+
+
+def _coverage():
+    """Dynamic rule coverage of the learned rulebook on a SPEC subset."""
+    rulebook = learn().rulebook
+    coverage = {}
+    for name in ("mcf", "hmmer", "astar"):
+        workload = SPEC_WORKLOADS[name]
+        factory = make_rule_engine(OptLevel.FULL, rulebook=rulebook)
+        machine = Machine(engine="rules", rule_engine_factory=factory)
+        machine.memory.load_program(build_kernel(
+            timer_reload=workload.timer_reload))
+        machine.memory.load_program(build_user_program(workload.body))
+        machine.cpu.regs[15] = 0
+        machine.env.load_from_cpu(machine.cpu)
+        machine.run(workload.max_insns)
+        covered = uncovered = 0
+        for tb in machine.engine.cache.all_tbs():
+            weight = tb.exec_count
+            uncovered += weight * tb.meta.get("n_uncovered", 0)
+            covered += weight * (tb.guest_insn_count -
+                                 tb.meta.get("n_uncovered", 0) -
+                                 tb.meta.get("n_system", 0))
+        coverage[name] = covered / max(covered + uncovered, 1)
+    return coverage
+
+
+def test_learned_rulebook_dynamic_coverage():
+    # The learned rules must cover the bulk of user-level execution even
+    # though the corpus is small (the paper's framework reaches higher
+    # coverage with a much larger training set).
+    for name, value in _coverage().items():
+        assert value > 0.5, (name, value)
