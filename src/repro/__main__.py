@@ -14,15 +14,11 @@ Commands:
   ``--compare BASELINE --fail-on regressed`` gate it against a blessed
   baseline, attributing any regression to the Sec III coordination-cost
   category that moved.  ``--quick`` keeps the SPEC-sweep experiments
-  only; ``--inject seed=1,extra-sync=0.5`` turns the fault injector
-  into a regression simulator the gate must catch.
+  only.
 - ``learn [--save PATH]`` — run the rule-learning pipeline; optionally
   save the rulebook as JSON.
 - ``compare WORKLOAD`` — run one workload on every engine and print a
   side-by-side cost comparison.
-- ``faultsmoke [--seeds N]`` — the robustness smoke matrix: run a
-  seeded fault-injection scenario grid and check every run still
-  produces the correct guest output and exit code.
 - ``check [--all]`` — the translation soundness checker: symbolically
   classify every learned rule (proved / tested-only / refuted) and run
   the dataflow verifier over the TB population of representative
@@ -36,10 +32,8 @@ Commands:
 - ``validate-trace FILE.json`` — check an exported trace against the
   Chrome trace-event schema (exit 1 on problems).
 
-``run`` and ``exec`` accept ``--inject SPEC`` to enable deterministic
-fault injection, e.g. ``--inject seed=7,mem=0.01,rule-corrupt=SUB``
-(see ``repro.robustness.faultinject``), ``--trace PATH`` to record a
-Chrome trace of the run, and ``--check`` to enable verify-before-enter:
+``run`` and ``exec`` accept ``--trace PATH`` to record a Chrome trace
+of the run, and ``--check`` to enable verify-before-enter:
 every rules-tier TB is statically verified before entering the code
 cache and demoted down the degradation ladder on an ERROR finding.
 """
@@ -80,10 +74,7 @@ def _print_robustness(stats) -> None:
     fallback = sum(count for key, count in stats.items()
                    if key.startswith("robust.tier_") and
                    key.endswith("_tbs") and key != "robust.tier_rules_tbs")
-    injected = {key[len("robust.inj_"):]: int(count)
-                for key, count in stats.items()
-                if key.startswith("robust.inj_")}
-    if not (quarantined or fallback or injected or
+    if not (quarantined or fallback or
             stats.get("robust.recovered_faults") or
             stats.get("robust.watchdog_trips")):
         return
@@ -94,12 +85,7 @@ def _print_robustness(stats) -> None:
     print("fallback tiers     : " +
           " ".join(f"{tier}={count}" for tier, count in tiers.items()))
     print(f"faults recovered   : "
-          f"{stats.get('robust.recovered_faults', 0):.0f}"
-          f" (transient {stats.get('robust.transient_faults', 0):.0f})")
-    if injected:
-        print("injected           : " +
-              " ".join(f"{site}={count}"
-                       for site, count in sorted(injected.items())))
+          f"{stats.get('robust.recovered_faults', 0):.0f}")
     if stats.get("robust.watchdog_trips"):
         print(f"watchdog trips     : "
               f"{stats['robust.watchdog_trips']:.0f}")
@@ -131,8 +117,7 @@ def _run_and_print(workload, args) -> int:
         from .observability import Tracer
         tracer = Tracer()
     try:
-        result = run_workload(workload, args.engine, inject=args.inject,
-                              tracer=tracer,
+        result = run_workload(workload, args.engine, tracer=tracer,
                               check=getattr(args, "check", False))
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -149,63 +134,6 @@ def _run_and_print(workload, args) -> int:
         path = write_chrome_trace(args.trace, tracer.events())
         print(f"trace written to {path} ({tracer.emitted} events, "
               f"{tracer.dropped} dropped)")
-    return 0
-
-
-#: The fault-smoke scenario grid: (name, spec template).  Every scenario
-#: must finish with the workload's expected output and exit code 0.
-SMOKE_SCENARIOS = (
-    ("fetch", "seed={seed},fetch=0.05"),
-    ("mem", "seed={seed},mem=0.05"),
-    ("helper", "seed={seed},helper=0.05"),
-    ("irq-storm", "seed={seed},irq-storm=0.0002"),
-    ("rule-crash", "seed={seed},rule-crash=0.02"),
-    ("rule-corrupt", "seed={seed},rule-corrupt=SUB,rule-corrupt=EOR"),
-    ("rule-wrong", "seed={seed},rule-wrong=SUB"),
-)
-
-SMOKE_WORKLOADS = ("cpu-prime", "fileio")
-
-
-def cmd_faultsmoke(args) -> int:
-    from .harness import format_table
-
-    rows = []
-    failures = 0
-    for name, template in SMOKE_SCENARIOS:
-        for seed in range(1, args.seeds + 1):
-            for workload_name in SMOKE_WORKLOADS:
-                spec = template.format(seed=seed)
-                workload = ALL_WORKLOADS[workload_name]
-                try:
-                    result = run_workload(workload, args.engine,
-                                          inject=spec)
-                except Exception as error:  # noqa: BLE001 - report all
-                    failures += 1
-                    rows.append([name, seed, workload_name, "FAIL",
-                                 "-", "-", "-", str(error)[:60]])
-                    continue
-                stats = result.stats
-                injected = sum(int(count) for key, count in stats.items()
-                               if key.startswith("robust.inj_"))
-                fallback = sum(
-                    int(count) for key, count in stats.items()
-                    if key.startswith("robust.tier_") and
-                    key.endswith("_tbs") and key != "robust.tier_rules_tbs")
-                rows.append([
-                    name, seed, workload_name, "ok", injected,
-                    f"{stats.get('robust.quarantined_rules', 0):.0f}",
-                    f"{stats.get('robust.recovered_faults', 0):.0f}",
-                    f"fallback_tbs={fallback}",
-                ])
-    print(format_table(
-        ["Scenario", "Seed", "Workload", "Result", "Injected",
-         "Quarantined", "Recovered", "Notes"], rows,
-        title=f"fault-injection smoke matrix ({args.engine})"))
-    if failures:
-        print(f"{failures} scenario(s) FAILED", file=sys.stderr)
-        return 1
-    print(f"all {len(rows)} scenarios passed")
     return 0
 
 
@@ -233,8 +161,7 @@ def cmd_check(args) -> int:
     engines = ALL_CHECK_ENGINES if args.all else DEFAULT_ENGINES
     try:
         report = run_check(workloads=workloads, engines=engines,
-                           rules=not args.no_rules,
-                           inject=args.inject, profile=args.profile)
+                           rules=not args.no_rules, profile=args.profile)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -272,8 +199,8 @@ def cmd_profile(args) -> int:
         return 2
     tracer = Tracer()
     profiler = Profiler()
-    machine = make_machine(workload, args.engine, inject=args.inject,
-                           tracer=tracer, profiler=profiler)
+    machine = make_machine(workload, args.engine, tracer=tracer,
+                           profiler=profiler)
     try:
         machine.run(workload.max_insns)
     except ReproError as error:
@@ -400,7 +327,7 @@ def _bench_suite(args) -> int:
 
     try:
         snapshot = run_suite(
-            mode=mode, sweep_workloads=sweep, inject=args.inject,
+            mode=mode, sweep_workloads=sweep,
             results_dir=RESULTS_DIR if args.export_results else None,
             progress=progress)
     except (ReproError, ValueError) as error:
@@ -474,9 +401,6 @@ def main(argv=None) -> int:
     run_parser.add_argument("workload")
     run_parser.add_argument("--engine", default="rules-full",
                             choices=ENGINE_SPECS)
-    run_parser.add_argument("--inject", metavar="SPEC", default=None,
-                            help="fault-injection spec, e.g. "
-                                 "seed=7,mem=0.01,rule-corrupt=SUB")
     run_parser.add_argument("--trace", metavar="PATH", default=None,
                             help="write a Chrome trace JSON of the run")
     run_parser.add_argument("--check", action="store_true",
@@ -487,8 +411,6 @@ def main(argv=None) -> int:
     exec_parser.add_argument("file")
     exec_parser.add_argument("--engine", default="rules-full",
                              choices=ENGINE_SPECS)
-    exec_parser.add_argument("--inject", metavar="SPEC", default=None,
-                             help="fault-injection spec")
     exec_parser.add_argument("--trace", metavar="PATH", default=None,
                              help="write a Chrome trace JSON of the run")
     exec_parser.add_argument("--check", action="store_true",
@@ -508,9 +430,6 @@ def main(argv=None) -> int:
                               help="skip the symbolic rulebook phase")
     check_parser.add_argument("--profile", action="store_true",
                               help="attach profiler cost to findings")
-    check_parser.add_argument("--inject", metavar="SPEC", default=None,
-                              help="fault-injection spec (the checker "
-                                   "must flag what it corrupts)")
     check_parser.add_argument("--format", choices=("table", "json"),
                               default="table")
     check_parser.add_argument("--out", metavar="PATH", default=None,
@@ -528,8 +447,6 @@ def main(argv=None) -> int:
                                 choices=ENGINE_SPECS)
     profile_parser.add_argument("--top", type=int, default=20,
                                 help="rows in the hot-TB table")
-    profile_parser.add_argument("--inject", metavar="SPEC", default=None,
-                                help="fault-injection spec")
     profile_parser.add_argument("--json", metavar="PATH", default=None,
                                 help="profile JSON output path")
     profile_parser.add_argument("--trace", metavar="PATH", default=None,
@@ -539,13 +456,6 @@ def main(argv=None) -> int:
         "validate-trace",
         help="validate a Chrome trace JSON export")
     validate_parser.add_argument("file")
-
-    smoke_parser = sub.add_parser(
-        "faultsmoke", help="run the fault-injection smoke matrix")
-    smoke_parser.add_argument("--engine", default="rules-full",
-                              choices=ENGINE_SPECS)
-    smoke_parser.add_argument("--seeds", type=int, default=2,
-                              help="seeds per scenario (default 2)")
 
     compare_parser = sub.add_parser("compare",
                                     help="compare engines on a workload")
@@ -566,10 +476,6 @@ def main(argv=None) -> int:
                               metavar="NAME",
                               help="custom sweep over these workloads "
                                    "(repeatable; skips figure experiments)")
-    bench_parser.add_argument("--inject", metavar="SPEC", default=None,
-                              help="fault-injection spec threaded through "
-                                   "the sweep (extra-sync simulates a "
-                                   "perf regression)")
     bench_parser.add_argument("--out", metavar="PATH", default=None,
                               help="snapshot output path (default: next "
                                    "free BENCH_<n>.json in the repo root)")
@@ -594,7 +500,6 @@ def main(argv=None) -> int:
     handlers = {"list": cmd_list, "run": cmd_run, "exec": cmd_exec,
                 "compare": cmd_compare, "bench": cmd_bench,
                 "learn": cmd_learn,
-                "faultsmoke": cmd_faultsmoke,
                 "profile": cmd_profile, "check": cmd_check,
                 "validate-trace": cmd_validate_trace}
     return handlers[args.command](args)

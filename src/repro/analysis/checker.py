@@ -84,8 +84,7 @@ def check_rulebook(report: Report, budget: int = 250_000,
 def check_machine_tbs(machine, report: Report) -> int:
     """Dataflow-check every rules-tier TB in *machine*'s code cache.
 
-    Returns the number of TBs checked.  Injected TBs are checked like
-    any other — catching them is the point of the exercise.
+    Returns the number of TBs checked.
     """
     engine = machine.engine
     profiler = machine.profiler
@@ -107,7 +106,7 @@ def check_machine_tbs(machine, report: Report) -> int:
 def check_workloads(report: Report,
                     workloads: Iterable[str] = DEFAULT_WORKLOADS,
                     engines: Iterable[str] = DEFAULT_ENGINES,
-                    inject=None, profile: bool = False) -> None:
+                    profile: bool = False) -> None:
     """Run each (workload, engine) pair and check the resulting TBs."""
     from ..harness.runner import make_machine
     from ..observability import Profiler
@@ -119,8 +118,7 @@ def check_workloads(report: Report,
         workload = ALL_WORKLOADS[name]
         for engine in engines:
             profiler = Profiler() if profile else None
-            machine = make_machine(workload, engine, inject=inject,
-                                   profiler=profiler)
+            machine = make_machine(workload, engine, profiler=profiler)
             machine.run(workload.max_insns)
             total_tbs += check_machine_tbs(machine, report)
             pairs += 1
@@ -130,12 +128,12 @@ def check_workloads(report: Report,
 
 def run_check(workloads: Iterable[str] = DEFAULT_WORKLOADS,
               engines: Iterable[str] = DEFAULT_ENGINES,
-              rules: bool = True, budget: int = 250_000, inject=None,
+              rules: bool = True, budget: int = 250_000,
               profile: bool = False, quarantine=None) -> Report:
     """The full ``repro check`` pipeline; returns the aggregate report."""
     report = Report()
     if rules:
         check_rulebook(report, budget=budget, quarantine=quarantine)
     check_workloads(report, workloads=workloads, engines=engines,
-                    inject=inject, profile=profile)
+                    profile=profile)
     return report

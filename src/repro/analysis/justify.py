@@ -109,23 +109,3 @@ def audit_of(meta: Dict[str, Any]) -> List[Dict[str, Any]]:
 
 def justifications_of(meta: Dict[str, Any]) -> List[Dict[str, Any]]:
     return list(meta.get(JUSTIFY_KEY) or ())
-
-
-def shift_indices(records: List[Dict[str, Any]], at: int,
-                  delta: int) -> List[Dict[str, Any]]:
-    """Shift every host-index field at or above *at* by *delta*.
-
-    Used by the fault injector when it removes instructions: remaining
-    records must keep pointing at the right host instructions, otherwise
-    the checker would flag the bookkeeping mismatch instead of the
-    injected soundness violation.
-    """
-    out = []
-    for rec in records:
-        rec = dict(rec)
-        for key in ("start", "end", "index"):
-            value = rec.get(key)
-            if isinstance(value, int) and value >= at:
-                rec[key] = value + delta
-        out.append(rec)
-    return out

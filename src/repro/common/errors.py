@@ -132,8 +132,7 @@ class RuleVerificationError(ReproError):
 class WatchdogTimeout(ReproError):
     """The execution watchdog stopped a runaway TB (bounded host insns).
 
-    Structured and recoverable: the degradation ladder treats it like a
-    codegen bug (quarantine / demote / retranslate).
+    The engine propagates it with the TB's pc attached.
     """
 
     def __init__(self, executed: int, limit: int, tb_pc: Optional[int] = None):
@@ -168,31 +167,6 @@ class WakeupDeadlock(ReproError):
             f"wakeup deadlock: {reason} (timer enabled={timer_enabled} "
             f"reload={timer_reload} value={timer_value} irq_line={irq_line} "
             f"intc pending=0x{intc_pending:x} enabled=0x{intc_enabled:x})")
-
-
-class InjectedFault(ReproError):
-    """A fault-injection point fired (transient, retried by the engine)."""
-
-    def __init__(self, site: str, detail: str = ""):
-        self.site = site
-        self.detail = detail
-        suffix = f": {detail}" if detail else ""
-        super().__init__(f"injected fault at {site!r}{suffix}")
-
-
-class RuleApplicationError(ReproError):
-    """A learned translation rule misbehaved (translate- or execute-time).
-
-    Carries the rule key so the engine can quarantine exactly the
-    offending rule and retranslate without it.
-    """
-
-    def __init__(self, rule: str, phase: str = "execute", detail: str = ""):
-        self.rule = rule
-        self.phase = phase
-        self.detail = detail
-        suffix = f": {detail}" if detail else ""
-        super().__init__(f"rule {rule!r} failed during {phase}{suffix}")
 
 
 class GuestHalt(ReproError):

@@ -14,8 +14,7 @@ from ..miniqemu.machine import DbtEngineBase, Machine
 from ..miniqemu.tb import TranslationBlock
 from .analysis import F_ALL, analyze_block
 from .config import OptConfig, OptLevel
-from .rulebook import (MatureRulebook, QuarantineFilter, StructuralFilter,
-                       rule_key)
+from .rulebook import MatureRulebook, QuarantineFilter, StructuralFilter
 from .translator import RuleTranslator
 
 
@@ -111,13 +110,6 @@ class RuleEngine(DbtEngineBase):
 
     def translate_rules(self, pc: int, mmu_idx: int) -> TranslationBlock:
         insns = self.fetch_block(pc)
-        injector = self.machine.injector
-        if injector.enabled:
-            # The rule-crash site models a rule whose application code
-            # itself crashes at translate time (quarantine target).
-            for insn in insns:
-                if not insn.is_branch() and self.rulebook.covers(insn):
-                    injector.rule_crash(rule_key(insn))
         translator = RuleTranslator(
             mmu_idx, self.config, rulebook=self.rulebook,
             successor_live_in=self.successor_live_in,
@@ -157,7 +149,6 @@ class RuleEngine(DbtEngineBase):
                     n_errors=len(errors))
             self.ladder.demote(tb.pc, tb.mmu_idx)
             tb = self.translate(tb.pc, tb.mmu_idx)
-            self.machine.injector.instrument_tb(tb)
         return tb
 
     # ------------------------------------------------------------------

@@ -398,15 +398,14 @@ def _ablation_configs() -> Dict[str, "OptConfig"]:
 
 def ablation() -> ExperimentResult:
     """Per-switch ablation on a representative workload subset."""
-    from .runner import current_cache_inject, run_workload
+    from .runner import run_workload
 
     result = ExperimentResult("ablation")
-    inject = current_cache_inject()
     qemu = {name: run_cached(SPEC_WORKLOADS[name], "tcg").runtime
             for name in ABLATION_SUBSET}
     for label, config in _ablation_configs().items():
         runtimes = [run_workload(SPEC_WORKLOADS[name], "rules-custom",
-                                 config=config, inject=inject).runtime
+                                 config=config).runtime
                     for name in ABLATION_SUBSET]
         result.summary[label] = geomean(
             [qemu[name] / runtime

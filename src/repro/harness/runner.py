@@ -16,8 +16,6 @@ from ..common.errors import ReproError
 from ..core import OptConfig, OptLevel, make_rule_engine
 from ..kernel.kernel import build_kernel, build_user_program
 from ..miniqemu.machine import Machine
-from ..robustness import (ExecutionWatchdog, FaultInjector, FaultPlan,
-                          parse_inject_spec)
 from ..workloads.spec import Workload
 
 #: Engine specifications accepted by :func:`run_workload`.
@@ -54,32 +52,16 @@ class RunResult:
         return self.host_cost / max(self.guest_icount, 1)
 
 
-def _robustness_kwargs(inject) -> Dict:
-    """Machine kwargs for an ``--inject`` spec (str or FaultPlan)."""
-    if not inject:
-        return {}
-    plan = parse_inject_spec(inject) if isinstance(inject, str) else inject
-    if not isinstance(plan, FaultPlan):
-        raise ValueError(f"bad inject value {inject!r}")
-    return {
-        "fault_injector": FaultInjector(plan),
-        "watchdog": ExecutionWatchdog(),
-        # Silent wrong-result rules are only catchable by the online
-        # differential self-check: check every eligible TB (paranoid).
-        "selfcheck_interval": 1 if plan.wrong_rules else 0,
-    }
-
-
 def make_machine(workload: Workload, engine: str,
                  config: Optional[OptConfig] = None,
-                 inject=None, tracer=None, profiler=None,
+                 tracer=None, profiler=None,
                  check: bool = False) -> Machine:
     """Build a machine with the kernel + workload loaded and devices set up.
 
     *check* enables the rules engine's verify-before-enter mode: every
     rules-tier TB is statically verified before entering the code cache
     (``repro run --check``; ignored by the interp/tcg engines)."""
-    kwargs = _robustness_kwargs(inject)
+    kwargs: Dict = {}
     if tracer is not None:
         kwargs["tracer"] = tracer
     if profiler is not None:
@@ -117,9 +99,9 @@ def make_machine(workload: Workload, engine: str,
 
 def run_workload(workload: Workload, engine: str,
                  config: Optional[OptConfig] = None,
-                 inject=None, tracer=None, profiler=None,
+                 tracer=None, profiler=None,
                  check: bool = False) -> RunResult:
-    machine = make_machine(workload, engine, config, inject=inject,
+    machine = make_machine(workload, engine, config,
                            tracer=tracer, profiler=profiler, check=check)
     exit_code = machine.run(workload.max_insns)
     output = machine.uart.text
@@ -150,45 +132,13 @@ def run_workload(workload: Workload, engine: str,
 # Process-wide memoization: the figure experiments share one sweep.
 # ---------------------------------------------------------------------------
 
-_CACHE: Dict[Tuple[str, str, str], RunResult] = {}
-
-#: Fault plan applied to every ``run_cached`` miss (see
-#: :func:`set_cache_inject`); part of the cache key, so injected and
-#: clean sweeps never alias.
-_CACHE_INJECT: Optional[FaultPlan] = None
-_CACHE_INJECT_SPEC: str = ""
-
-
-def set_cache_inject(inject=None) -> Optional[FaultPlan]:
-    """Install a fault plan for the shared sweep (``None`` clears it).
-
-    The ``repro bench`` orchestrator uses this to thread an ``--inject``
-    spec through the whole figure pipeline without changing any
-    experiment's code — which is how the injector's ``extra-sync`` site
-    doubles as an end-to-end regression simulator for the perf gate.
-    Returns the parsed plan.
-    """
-    global _CACHE_INJECT, _CACHE_INJECT_SPEC
-    if not inject:
-        _CACHE_INJECT, _CACHE_INJECT_SPEC = None, ""
-        return None
-    plan = parse_inject_spec(inject) if isinstance(inject, str) else inject
-    if not isinstance(plan, FaultPlan):
-        raise ValueError(f"bad inject value {inject!r}")
-    _CACHE_INJECT, _CACHE_INJECT_SPEC = plan, plan.describe()
-    return plan
-
-
-def current_cache_inject() -> Optional[FaultPlan]:
-    """The fault plan the shared sweep currently runs under (or None)."""
-    return _CACHE_INJECT
+_CACHE: Dict[Tuple[str, str], RunResult] = {}
 
 
 def run_cached(workload: Workload, engine: str) -> RunResult:
-    key = (workload.name, engine, _CACHE_INJECT_SPEC)
+    key = (workload.name, engine)
     if key not in _CACHE:
-        _CACHE[key] = run_workload(workload, engine,
-                                   inject=_CACHE_INJECT)
+        _CACHE[key] = run_workload(workload, engine)
     return _CACHE[key]
 
 

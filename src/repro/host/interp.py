@@ -24,8 +24,9 @@ from .cpu import HostCpu
 from .isa import (ECX, ESP, Imm, Mem, Reg, X86Insn, X86Op, Xmm)
 from ..common.f32 import f32_add, f32_mul, f32_sub
 
-#: Hard cap on host instructions per TB execution (codegen-bug guard).
-_RUNAWAY_LIMIT = 5_000_000
+#: Host instructions one execute() call may run before it is declared a
+#: runaway (codegen-bug guard); also the ExecutionWatchdog default.
+DEFAULT_MAX_HOST_INSNS = 5_000_000
 
 
 @dataclass
@@ -55,10 +56,6 @@ class HostInterpreter:
         self.on_tb_enter = None
         #: optional ExecutionWatchdog bounding host insns per execute()
         self.watchdog = None
-        #: True once the current execute() call performed non-idempotent
-        #: work (MMIO, exception delivery) — rollback+replay is then
-        #: unsafe; the runtime sets this via note_side_effect().
-        self.tb_side_effects = False
         #: Observability (repro.observability): the disabled defaults
         #: keep the hot loop's only overhead a None/False check.
         self.tracer = NULL_TRACER
@@ -66,10 +63,6 @@ class HostInterpreter:
         #: (pc, mmu_idx) of the TB charges are attributed to, or None
         #: when cost is being charged outside any block.
         self._profile_key = None
-
-    def note_side_effect(self, kind: str = "") -> None:
-        """Mark the current execute() call as non-replayable."""
-        self.tb_side_effects = True
 
     # -- cost accounting ---------------------------------------------------------
 
@@ -120,9 +113,8 @@ class HostInterpreter:
         index = 0
         executed = 0
         pending_chain = None
-        self.tb_side_effects = False
         limit = self.watchdog.max_host_insns if self.watchdog is not None \
-            else _RUNAWAY_LIMIT
+            else DEFAULT_MAX_HOST_INSNS
         profiler = self.profiler
         if profiler is not None:
             self._profile_key = (tb.pc, tb.mmu_idx)

@@ -108,10 +108,6 @@ class QemuRuntime:
     def deliver_exception(self, mode: int, vector: int,
                           return_address: int) -> None:
         """Full exception entry: env -> cpu, take exception, cpu -> env."""
-        if self.host is not None:
-            # Mode/banked-register switches are not replayable by the
-            # fault-recovery rollback: mark the execute() call dirty.
-            self.host.note_side_effect("exception")
         if self.machine.tracer.enabled:
             self.machine.tracer.emit("exception.enter", mode=mode,
                                      vector=vector)
@@ -160,11 +156,6 @@ class QemuRuntime:
     def memory_access(self, vaddr: int, size: int, mmu_idx: int,
                       insn_pc: int, value=None, signed: bool = False):
         """Slow-path load (value is None) or store (value given)."""
-        # Fault injection: transient softmmu failures, but only while
-        # the current execute() is still cleanly replayable.
-        if not self.host.tb_side_effects:
-            self.machine.injector.maybe_fault(
-                "mem", f"vaddr=0x{vaddr:08x} pc=0x{insn_pc:08x}")
         access = ACCESS_READ if value is None else ACCESS_WRITE
         if (vaddr & (PAGE_SIZE - 1)) + size > PAGE_SIZE:
             # Page-crossing access: split byte-wise (always slow path).
@@ -185,7 +176,6 @@ class QemuRuntime:
                             insn_pc)
         if not region.is_ram:
             self.charge(COST_MMIO_ACCESS, "mmio")
-            self.host.note_side_effect("mmio")
         try:
             if value is None:
                 result = region.read(paddr - region.base, size)
@@ -238,9 +228,6 @@ def make_sysreg_helper(insn: ArmInsn):
     """System-register instruction emulation (mrs/msr/mcr/mrc/vmrs/vmsr/cps/wfi)."""
 
     def helper_sysreg(runtime: QemuRuntime) -> None:
-        if not runtime.host.tb_side_effects:
-            runtime.machine.injector.maybe_fault(
-                "helper", f"sysreg {insn.mnemonic()} @0x{insn.addr:08x}")
         runtime.charge(COST_SYSREG_HELPER, "helper")
         cpu = runtime.cpu
         runtime.env_to_cpu()
@@ -274,9 +261,6 @@ def make_vfp_helper(insn: ArmInsn):
     from .env import ENV_FPSCR, env_vfp
 
     def helper_vfp(runtime: QemuRuntime) -> None:
-        if not runtime.host.tb_side_effects:
-            runtime.machine.injector.maybe_fault(
-                "helper", f"vfp {insn.op.value} @0x{insn.addr:08x}")
         runtime.charge(COST_SOFTFLOAT, "helper")
         env = runtime.env
         if insn.op is Op.VCMP:

@@ -28,11 +28,10 @@ from typing import Dict, Optional
 from ..common.costmodel import (COST_INTERP_TIER_INSN, COST_TB_LOOKUP,
                                 COST_TRANSLATE_PER_INSN)
 from ..common.errors import (DecodingError, DiagContext, GuestHalt,
-                             HostExecutionError, InjectedFault, MemoryFault,
-                             ReproError, RuleApplicationError,
+                             HostExecutionError, MemoryFault, ReproError,
                              TranslationError, WatchdogTimeout)
 from ..devices.blockdev import BlockDevice
-from ..devices.intc import IRQ_TIMER, InterruptController
+from ..devices.intc import InterruptController
 from ..devices.nic import Nic
 from ..devices.syscon import SystemController
 from ..devices.timer import Timer
@@ -49,8 +48,7 @@ from ..host.isa import ENV_REG
 from ..host.memory import HostMemory
 from ..robustness.degrade import (DegradationController, SelfCheck,
                                   tb_selfcheckable)
-from ..robustness.faultinject import NullInjector
-from ..robustness.guard import MachineSnapshot, fast_forward_halt
+from ..robustness.guard import fast_forward_halt
 from ..softmmu.bus import GuestBus
 from ..softmmu.memory import PhysicalMemoryMap
 from ..softmmu.pagetable import PageWalker
@@ -78,8 +76,7 @@ class Machine:
 
     def __init__(self, ram_size: int = DEFAULT_RAM_SIZE,
                  engine: str = "tcg", rule_engine_factory=None,
-                 fault_injector=None, watchdog=None,
-                 selfcheck_interval: int = 0,
+                 watchdog=None, selfcheck_interval: int = 0,
                  tracer=None, profiler=None):
         # Observability (defaults are the zero-cost disabled paths; see
         # repro.observability).  Set first so every subsystem built
@@ -130,11 +127,9 @@ class Machine:
             self.tracer.set_clock(
                 lambda: (float(self.host.cost), self.guest_icount))
 
-        # Robustness: fault injection, watchdog, self-check sampling.
-        # Set before the engine is built — engines read these to size
-        # their degradation ladder.
-        self.injector = fault_injector if fault_injector is not None \
-            else NullInjector()
+        # Robustness: watchdog and self-check sampling.  Set before the
+        # engine is built — engines read these to size their degradation
+        # ladder.
         self.watchdog = watchdog
         self.selfcheck_interval = selfcheck_interval
         self.host.watchdog = watchdog
@@ -167,11 +162,6 @@ class Machine:
     def advance_time(self, guest_insns: int) -> None:
         self.guest_icount += guest_insns
         self.timer.advance(guest_insns)
-        if self.injector.enabled and self.injector.fires("irq-storm"):
-            # Spurious but *ackable* interrupt: the guest's IRQ handler
-            # reads INTC STATUS and acks the timer, so storms exercise
-            # delivery without wedging the machine.
-            self.intc.raise_irq(IRQ_TIMER)
         self.runtime.update_irq()
 
     # -- program loading --------------------------------------------------------
@@ -221,8 +211,6 @@ class Machine:
         }
         engine_group.update(self.engine.stats())
         robust_group = {}
-        for site, count in self.injector.counts_by_site().items():
-            robust_group[f"inj_{site.replace('-', '_')}"] = float(count)
         if self.watchdog is not None:
             robust_group["watchdog_trips"] = float(self.watchdog.trips)
         robust_group.update(self.engine.robustness_stats())
@@ -272,9 +260,11 @@ class DbtEngineBase:
     The base class also owns the *degradation ladder* (see
     ``docs/internals.md``): every engine translates through an ordered
     list of tiers (:attr:`tiers`, strongest first) and falls down the
-    ladder when a tier's translation or generated code misbehaves.  The
-    last tier, ``interp``, executes the block with the reference ARM
-    interpreter and cannot fail for codegen reasons.
+    ladder when a tier's translation raises, fails ``--check`` or fails
+    the self-check.  The last tier, ``interp``, executes the block with
+    the reference ARM interpreter and cannot fail for codegen reasons.
+    A fault while generated code runs is not recovered: it propagates
+    with the TB's pc attached.
     """
 
     name = "dbt"
@@ -289,11 +279,6 @@ class DbtEngineBase:
         self.ladder = DegradationController(self.tiers)
         self.selfcheck = SelfCheck(interval=machine.selfcheck_interval,
                                    tlb_size=len(machine.tlb.data))
-        # Pre-execute snapshots are only worth taking when some fault
-        # source can actually fire (keeps the normal path allocation-free).
-        self._recovery = (machine.injector.enabled or
-                          machine.watchdog is not None or
-                          self.selfcheck.enabled)
         self._tier_interp = Interpreter(machine.cpu, machine.bus)
 
     # -- translation (the tier ladder) -------------------------------------------
@@ -302,11 +287,9 @@ class DbtEngineBase:
         """Translate through the tier ladder, degrading on failure.
 
         Genuine guest conditions (fetch fault -> prefetch abort,
-        undecodable first word -> undef) and transient injected faults
-        propagate to the run loop; anything else a tier raises is
-        treated as a codegen/rule bug: the offending rule is
-        quarantined (when attributable) or the block's tier floor is
-        lowered, and the next tier is tried.
+        undecodable first word -> undef) propagate to the run loop;
+        anything else a tier raises is treated as a codegen/rule bug:
+        the block's tier floor is lowered and the next tier is tried.
         """
         ladder = self.ladder
         tier_index = ladder.start_tier(pc, mmu_idx)
@@ -315,23 +298,8 @@ class DbtEngineBase:
             tier = self.tiers[tier_index]
             try:
                 tb = self._translate_tier(tier, pc, mmu_idx)
-            except (MemoryFault, DecodingError, InjectedFault):
+            except (MemoryFault, DecodingError):
                 raise
-            except RuleApplicationError as error:
-                last_error = error
-                if ladder.quarantine_rule(error.rule,
-                                          f"translate: {error}"):
-                    # Newly quarantined: the same tier now routes the
-                    # rule's instructions through the fallback, so retry
-                    # it before degrading the whole block.
-                    if self.machine.tracer.enabled:
-                        self.machine.tracer.emit(
-                            "ladder.quarantine", rule=error.rule,
-                            phase="translate", pc=pc)
-                    self.cache.invalidate_rules([error.rule])
-                    continue
-                tier_index += 1
-                continue
             except Exception as error:  # noqa: BLE001 - the ladder exists
                 last_error = error      # to absorb arbitrary codegen bugs
                 if ladder.start_tier(pc, mmu_idx) == tier_index:
@@ -405,7 +373,6 @@ class DbtEngineBase:
     def fetch_block(self, pc: int):
         """Read a guest basic block's instructions at translation time."""
         machine = self.machine
-        machine.injector.maybe_fault("fetch", f"pc=0x{pc:08x}")
         insns = []
         addr = pc
         while len(insns) < MAX_TB_INSNS:
@@ -433,7 +400,7 @@ class DbtEngineBase:
         return insns
 
     def _vet_tb(self, tb: TranslationBlock) -> TranslationBlock:
-        """Hook between instrumentation and cache insertion.
+        """Hook between translation and cache insertion.
 
         Engines with a verify-before-enter mode (``--check``) override
         this to run the static soundness checker on the freshly
@@ -445,9 +412,7 @@ class DbtEngineBase:
     def get_tb(self, pc: int, mmu_idx: int) -> TranslationBlock:
         tb = self.cache.lookup(pc, mmu_idx)
         if tb is None:
-            tb = self.translate(pc, mmu_idx)
-            self.machine.injector.instrument_tb(tb)
-            tb = self._vet_tb(tb)
+            tb = self._vet_tb(self.translate(pc, mmu_idx))
             self.cache.insert(tb)
             host = self.machine.host
             cost = COST_TRANSLATE_PER_INSN * tb.guest_insn_count
@@ -494,22 +459,13 @@ class DbtEngineBase:
                 from ..guest.cpu import MODE_UND, VECTOR_UNDEF
                 runtime.deliver_exception(MODE_UND, VECTOR_UNDEF, pc + 4)
                 continue
-            except InjectedFault as fault:
-                # Transient translation-time fault: retry (bounded).
-                if not self.ladder.note_transient():
-                    raise fault.attach_context(machine.diag_context(
-                        detail="transient-retry budget exhausted"))
-                self.ladder.recovered_faults += 1
-                continue
             if host.profiler is not None:
                 # The lookup cost belongs to the block about to run.
                 host._profile_key = (tb.pc, tb.mmu_idx)
             host.charge(COST_TB_LOOKUP, "runtime")
             if tb.meta.get("tier") == "interp":
                 self._execute_interp_tier(tb)
-                self.ladder.note_progress()
                 continue
-            snapshot = MachineSnapshot(machine) if self._recovery else None
             if self.selfcheck.should_check(tb) and \
                     not self.selfcheck.verify(tb, bytes(machine.env.data)):
                 # Differential mismatch *before* the TB ran: quarantine
@@ -518,28 +474,14 @@ class DbtEngineBase:
                     machine.tracer.emit("ladder.selfcheck_fail", pc=tb.pc)
                 self._condemn_tb(tb, "self-check mismatch")
                 continue
-            self._before_execute(tb)
+            self._on_tb_enter(tb)
             try:
                 exit_info = host.execute(tb)
             except TbExitException:
-                self.ladder.note_progress()
                 continue  # helper delivered an exception; env.pc updated
-            except RuleApplicationError as error:
-                self._recover(tb, snapshot, error, rule=error.rule)
-                continue
-            except InjectedFault as fault:
-                # Transient execute-time fault (softmmu/helper): roll
-                # back to the TB boundary and replay.
-                if snapshot is None or host.tb_side_effects or \
-                        not self.ladder.note_transient():
-                    raise fault.attach_context(machine.diag_context())
-                snapshot.restore(machine)
-                self.ladder.recovered_faults += 1
-                continue
             except (WatchdogTimeout, HostExecutionError) as error:
-                self._recover(tb, snapshot, error)
-                continue
-            self.ladder.note_progress()
+                raise error.attach_context(
+                    machine.diag_context(tb_pc=hex(tb.pc)))
             status = exit_info.status
             if exit_info.chain is not None and status == EXIT_PC_UPDATED \
                     and not self.selfcheck.paranoid:
@@ -555,34 +497,7 @@ class DbtEngineBase:
                 f"unexpected TB exit status {status}"
             ).attach_context(machine.diag_context(tb_pc=hex(tb.pc)))
 
-    # -- fault recovery (the execute-time half of the ladder) ------------------
-
-    def _recover(self, tb: TranslationBlock, snapshot, error,
-                 rule: Optional[str] = None) -> None:
-        """Roll back a faulted TB execution and degrade its translation.
-
-        Only safe when the partial execution performed no non-idempotent
-        work (MMIO, exception delivery) — otherwise the error propagates
-        with diagnostics attached.
-        """
-        machine = self.machine
-        if snapshot is None or machine.host.tb_side_effects:
-            raise error.attach_context(machine.diag_context(
-                tb_pc=hex(tb.pc),
-                side_effects=machine.host.tb_side_effects))
-        snapshot.restore(machine)
-        if machine.tracer.enabled:
-            machine.tracer.emit("ladder.recover", pc=tb.pc,
-                                rule=rule or "",
-                                reason=type(error).__name__)
-        if rule is not None:
-            self.ladder.quarantine_rule(rule, f"execute: {error}")
-            self.cache.invalidate_rules([rule])
-        else:
-            self.ladder.demote(tb.pc, tb.mmu_idx)
-        if self.cache.lookup(tb.pc, tb.mmu_idx) is tb:
-            self.cache.invalidate(tb, machine.diag_context())
-        self.ladder.recovered_faults += 1
+    # -- self-check failures -----------------------------------------------------
 
     def _condemn_tb(self, tb: TranslationBlock, reason: str) -> None:
         """Quarantine a TB's rules and evict it (self-check failure)."""
@@ -635,11 +550,9 @@ class DbtEngineBase:
                 machine, lambda: not (cpu.halted and not cpu.irq_line))
             runtime.cpu_to_env()
 
-    def _before_execute(self, tb: TranslationBlock) -> None:
-        """Pre-charge guest time for the first TB of an execute() call."""
-        self._on_tb_enter(tb)
-
     def _on_tb_enter(self, tb: TranslationBlock) -> None:
+        """Charge guest time for a TB about to run (the first TB of an
+        execute() call, and every chained successor)."""
         tb.exec_count += 1
         machine = self.machine
         if machine.profiler is not None:
@@ -662,17 +575,8 @@ class DbtEngineBase:
                     # Chaining is an optimization: let the run loop take
                     # the genuine guest fault on the unchained path.
                     return
-                except InjectedFault:
-                    # Transient translation fault while chaining: drop
-                    # the chain attempt (the run loop retries later).
-                    self.ladder.transient_faults += 1
-                    self.ladder.recovered_faults += 1
-                    return
-            if next_tb.meta.get("injected") or \
-                    next_tb.meta.get("tier") == "interp":
-                # Never chain into a corrupted TB (its entry trap must
-                # surface at a rollback-safe TB boundary) or an
-                # interp-tier block (it has no host code to jump into).
+            if next_tb.meta.get("tier") == "interp":
+                # An interp-tier block has no host code to jump into.
                 return
             tb.jmp_target[slot] = next_tb
             if machine.tracer.enabled:
@@ -712,8 +616,8 @@ class DbtEngineBase:
     def robustness_stats(self) -> Dict[str, float]:
         """Degradation-ladder / self-check counters (``robust.`` group).
 
-        The machine itself publishes ``robust.watchdog_trips`` and the
-        injection counters, so they are deliberately absent here."""
+        The machine itself publishes ``robust.watchdog_trips``, so it is
+        deliberately absent here."""
         base = self.ladder.stats()
         if self.selfcheck.enabled:
             base.update({

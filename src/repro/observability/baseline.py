@@ -27,7 +27,7 @@ import math
 import os
 import platform
 import sys
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 SCHEMA = "repro-bench-snapshot"
 SCHEMA_VERSION = 1
@@ -144,12 +144,10 @@ def validate_result_payload(payload: Any) -> List[str]:
 
 def fingerprint(mode: str, sweep_workloads: Tuple[str, ...],
                 engines: Tuple[str, ...], experiments: Tuple[str, ...],
-                rulebook: str = "mature",
-                inject: Optional[str] = None) -> Dict[str, Any]:
+                rulebook: str = "mature") -> Dict[str, Any]:
     """The snapshot's environment/configuration identity.
 
-    The deterministic keys (``sweep_workloads``/``engines``/``inject``)
-    decide whether two snapshots are comparable at all; the rest
+    The deterministic keys (``sweep_workloads``/``engines``) decide whether two snapshots are comparable at all; the rest
     (python/platform) is informational.
     """
     return {
@@ -161,7 +159,6 @@ def fingerprint(mode: str, sweep_workloads: Tuple[str, ...],
         "engines": list(engines),
         "experiments": list(experiments),
         "rulebook": rulebook,
-        "inject": inject,
     }
 
 

@@ -8,13 +8,6 @@ snapshot dict (see :mod:`.baseline`) ready to be written as
 ``BENCH_<n>.json`` and gated by :mod:`.regress`.  Every value comes
 from the deterministic cost model; wall-clock time is measured by the
 separate ``wallbench/`` benchmark.
-
-The suite accepts an ``--inject`` fault plan, threaded through every
-cached run: the injector's ``extra-sync`` site turns the harness into a
-regression *simulator*, so the gate's detection path is testable end to
-end (`repro bench --inject seed=1,extra-sync=0.5 --compare BENCH_0.json`
-must exit nonzero and attribute the damage to the coordination
-category).
 """
 
 from __future__ import annotations
@@ -55,7 +48,6 @@ def run_suite(mode: str = "full",
               experiments: Optional[Tuple[str, ...]] = None,
               sweep_workloads: Optional[Tuple[str, ...]] = None,
               engines: Tuple[str, ...] = TIER_ENGINES,
-              inject: Optional[str] = None,
               name: str = "bench",
               results_dir: Optional[str] = None,
               progress: Optional[Callable[[str], None]] = None
@@ -71,7 +63,7 @@ def run_suite(mode: str = "full",
     ``benchmarks/results/<name>.{txt,json}`` companions).
     """
     from ..harness.experiments import ALL_EXPERIMENTS, SPEC_ORDER
-    from ..harness.runner import run_cached, set_cache_inject
+    from ..harness.runner import run_cached
     from ..workloads import ALL_WORKLOADS
 
     if experiments is None:
@@ -84,86 +76,81 @@ def run_suite(mode: str = "full",
         raise ValueError(f"unknown sweep workload(s): {unknown}")
     say = progress or (lambda _message: None)
 
-    plan = set_cache_inject(inject)
-    try:
-        figures: Dict[str, Dict[str, Any]] = {}
-        for experiment in experiments:
-            say(f"experiment {experiment}")
-            result = ALL_EXPERIMENTS[experiment]()
-            figures[experiment] = {"rows": list(result.rows),
-                                   "summary": dict(result.summary)}
-            if results_dir is not None:
-                _export_result(results_dir,
-                               RESULT_NAMES.get(experiment, experiment),
-                               result)
+    figures: Dict[str, Dict[str, Any]] = {}
+    for experiment in experiments:
+        say(f"experiment {experiment}")
+        result = ALL_EXPERIMENTS[experiment]()
+        figures[experiment] = {"rows": list(result.rows),
+                               "summary": dict(result.summary)}
+        if results_dir is not None:
+            _export_result(results_dir,
+                           RESULT_NAMES.get(experiment, experiment),
+                           result)
 
-        tiers: Dict[str, Dict[str, float]] = {}
-        coordination: Dict[str, Dict[str, float]] = {}
-        sync: Dict[str, Dict[str, float]] = {}
-        coverage: Dict[str, Dict[str, float]] = {}
-        for engine in engines:
-            say(f"sweep {engine}")
-            runs = [run_cached(ALL_WORKLOADS[w], engine)
-                    for w in sweep_workloads]
-            tiers[engine] = {
-                "guest_icount": float(sum(r.guest_icount for r in runs)),
-                "host_instructions":
-                    float(sum(r.host_instructions for r in runs)),
-                "host_cost": float(sum(r.host_cost for r in runs)),
-                "io_cost": float(sum(r.io_cost for r in runs)),
-                "runtime": float(sum(r.runtime for r in runs)),
-                "translation_cost":
-                    _sum_stat(runs, "engine.translation_cost"),
-            }
-            tag_totals: Dict[str, float] = {}
-            for run in runs:
-                for key, value in run.stats.items():
-                    if key.startswith("engine.tag_"):
-                        tag_totals[key] = tag_totals.get(key, 0.0) + value
-            breakdown = coordination_breakdown(tag_totals)
-            breakdown["total"] = sum(breakdown.values())
-            coordination[engine] = breakdown
-            if any("engine.sync_ops_dyn" in run.stats for run in runs):
-                ops = _sum_stat(runs, "engine.sync_ops_dyn")
-                insns = _sum_stat(runs, "engine.sync_insns_weighted")
-                sync[engine] = {
-                    "sync_ops_dyn": ops,
-                    "sync_insns_weighted": insns,
-                    "insns_per_sync": insns / max(ops, 1.0),
-                    "sync_elisions_dyn":
-                        _sum_stat(runs, "engine.sync_elisions_dyn"),
-                    "interrupt_checks_dyn":
-                        _sum_stat(runs, "engine.interrupt_checks_dyn"),
-                }
-            if any("engine.rule_covered_insns_dyn" in run.stats
-                   for run in runs):
-                covered = _sum_stat(runs, "engine.rule_covered_insns_dyn")
-                uncovered = _sum_stat(runs,
-                                      "engine.rule_uncovered_insns_dyn")
-                coverage[engine] = {
-                    "covered_insns_dyn": covered,
-                    "uncovered_insns_dyn": uncovered,
-                    "covered_fraction":
-                        covered / max(covered + uncovered, 1.0),
-                }
-
-        return {
-            "schema": SCHEMA,
-            "schema_version": SCHEMA_VERSION,
-            "name": name,
-            "mode": mode,
-            "figures": figures,
-            "tiers": tiers,
-            "coordination": coordination,
-            "sync": sync,
-            "coverage": coverage,
-            "fingerprint": fingerprint(
-                mode, tuple(sweep_workloads), tuple(engines),
-                tuple(experiments),
-                inject=plan.describe() if plan is not None else None),
+    tiers: Dict[str, Dict[str, float]] = {}
+    coordination: Dict[str, Dict[str, float]] = {}
+    sync: Dict[str, Dict[str, float]] = {}
+    coverage: Dict[str, Dict[str, float]] = {}
+    for engine in engines:
+        say(f"sweep {engine}")
+        runs = [run_cached(ALL_WORKLOADS[w], engine)
+                for w in sweep_workloads]
+        tiers[engine] = {
+            "guest_icount": float(sum(r.guest_icount for r in runs)),
+            "host_instructions":
+                float(sum(r.host_instructions for r in runs)),
+            "host_cost": float(sum(r.host_cost for r in runs)),
+            "io_cost": float(sum(r.io_cost for r in runs)),
+            "runtime": float(sum(r.runtime for r in runs)),
+            "translation_cost":
+                _sum_stat(runs, "engine.translation_cost"),
         }
-    finally:
-        set_cache_inject(None)
+        tag_totals: Dict[str, float] = {}
+        for run in runs:
+            for key, value in run.stats.items():
+                if key.startswith("engine.tag_"):
+                    tag_totals[key] = tag_totals.get(key, 0.0) + value
+        breakdown = coordination_breakdown(tag_totals)
+        breakdown["total"] = sum(breakdown.values())
+        coordination[engine] = breakdown
+        if any("engine.sync_ops_dyn" in run.stats for run in runs):
+            ops = _sum_stat(runs, "engine.sync_ops_dyn")
+            insns = _sum_stat(runs, "engine.sync_insns_weighted")
+            sync[engine] = {
+                "sync_ops_dyn": ops,
+                "sync_insns_weighted": insns,
+                "insns_per_sync": insns / max(ops, 1.0),
+                "sync_elisions_dyn":
+                    _sum_stat(runs, "engine.sync_elisions_dyn"),
+                "interrupt_checks_dyn":
+                    _sum_stat(runs, "engine.interrupt_checks_dyn"),
+            }
+        if any("engine.rule_covered_insns_dyn" in run.stats
+               for run in runs):
+            covered = _sum_stat(runs, "engine.rule_covered_insns_dyn")
+            uncovered = _sum_stat(runs,
+                                  "engine.rule_uncovered_insns_dyn")
+            coverage[engine] = {
+                "covered_insns_dyn": covered,
+                "uncovered_insns_dyn": uncovered,
+                "covered_fraction":
+                    covered / max(covered + uncovered, 1.0),
+            }
+
+    return {
+        "schema": SCHEMA,
+        "schema_version": SCHEMA_VERSION,
+        "name": name,
+        "mode": mode,
+        "figures": figures,
+        "tiers": tiers,
+        "coordination": coordination,
+        "sync": sync,
+        "coverage": coverage,
+        "fingerprint": fingerprint(
+            mode, tuple(sweep_workloads), tuple(engines),
+            tuple(experiments)),
+    }
 
 
 def _export_result(results_dir: str, name: str, result: Any) -> None:

@@ -222,9 +222,6 @@ def _attribution_for(metric: str, top_category: Optional[str]) -> \
 # The comparator.
 # ---------------------------------------------------------------------------
 
-# ``inject`` is deliberately NOT a comparability key: comparing an
-# injected run against a clean baseline is the regression-simulator
-# use case (``--inject seed=1,extra-sync=0.5 --compare BENCH_0.json``).
 _COMPARABILITY_KEYS = ("sweep_workloads", "engines")
 
 

@@ -9,8 +9,8 @@ raises on any collision instead of hiding it:
 
 - ``engine.*``  — performance counters: guest/host instruction counts,
   cost-by-tag, translation statics, sync/coordination dynamics.
-- ``robust.*``  — degradation ladder, quarantine, self-check, watchdog
-  and fault-injection counters.
+- ``robust.*``  — degradation ladder, quarantine, self-check and
+  watchdog counters.
 - ``io.*``      — device/IO time.
 - ``trace.*``   — tracer bookkeeping (only present when tracing is on).
 """

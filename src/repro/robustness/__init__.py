@@ -1,26 +1,18 @@
-"""Robustness subsystem: fault injection, degradation, and watchdogs.
+"""Robustness subsystem: the degradation ladder and watchdogs.
 
-Three cooperating pieces (see ``docs/internals.md``):
+Two cooperating pieces (see ``docs/internals.md``):
 
-- :mod:`repro.robustness.faultinject` — deterministic, seed-driven
-  fault injector with named sites threaded through the softmmu,
-  decoder, rule translator, helpers, and devices;
 - :mod:`repro.robustness.degrade` — the tiered degradation ladder
   (rules -> tcg -> interp) with rule quarantine and the online
   differential self-check;
-- :mod:`repro.robustness.guard` — the execution watchdog, the shared
-  halt fast-forward, and rollback snapshots.
+- :mod:`repro.robustness.guard` — the execution watchdog and the shared
+  halt fast-forward.
 """
 
-from .degrade import (DegradationController, SelfCheck, TRANSIENT_RETRY_LIMIT,
-                      tb_selfcheckable)
-from .faultinject import (FaultInjector, FaultPlan, NullInjector,
-                          parse_inject_spec)
-from .guard import (ExecutionWatchdog, MachineSnapshot, fast_forward_halt)
+from .degrade import DegradationController, SelfCheck, tb_selfcheckable
+from .guard import ExecutionWatchdog, fast_forward_halt
 
 __all__ = [
-    "DegradationController", "ExecutionWatchdog", "FaultInjector",
-    "FaultPlan", "MachineSnapshot", "NullInjector", "SelfCheck",
-    "TRANSIENT_RETRY_LIMIT", "fast_forward_halt", "parse_inject_spec",
-    "tb_selfcheckable",
+    "DegradationController", "ExecutionWatchdog", "SelfCheck",
+    "fast_forward_halt", "tb_selfcheckable",
 ]

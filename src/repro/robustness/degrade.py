@@ -7,8 +7,8 @@ holds the policy state the engine loop consults:
 
 - :class:`DegradationController` — per-engine ladder state: which rules
   are quarantined, which guest blocks have been demoted to a lower
-  translation tier, transient-fault retry budgets, and the recovery
-  statistics surfaced through ``Machine.stats()``;
+  translation tier, and the statistics surfaced through
+  ``Machine.stats()``;
 - :class:`SelfCheck` — the online differential self-check: before a
   sampled rules-tier TB executes, it is re-run in a *sandboxed* host
   interpreter against the reference ARM interpreter from the same
@@ -23,7 +23,7 @@ interpretation) is the unconditional last resort.
 from __future__ import annotations
 
 import copy
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..common.bitops import u32
 from ..guest.cpu import GuestCpu
@@ -41,16 +41,12 @@ from ..miniqemu.env import (ENV_BASE, ENV_CF, ENV_CPSR_REST, ENV_FPSCR,
 from ..miniqemu.tb import EXIT_PC_UPDATED
 from .guard import ExecutionWatchdog
 
-#: Consecutive transient (injected) faults tolerated on one guest block
-#: before the fault is treated as persistent and propagated.
-TRANSIENT_RETRY_LIMIT = 64
-
 #: Host-instruction bound for sandboxed self-check execution.
 SELFCHECK_HOST_BOUND = 200_000
 
 
 class DegradationController:
-    """Ladder state for one DBT engine (quarantine, demotions, retries)."""
+    """Ladder state for one DBT engine (quarantine, demotions)."""
 
     def __init__(self, tiers: Tuple[str, ...], quarantine=None):
         self.tiers = tiers
@@ -59,10 +55,8 @@ class DegradationController:
         self.tier_floor: Dict[Tuple[int, int], int] = {}
         # Statistics.
         self.tier_counts: Dict[str, int] = {tier: 0 for tier in tiers}
-        self.transient_faults = 0
         self.recovered_faults = 0
         self.demotions = 0
-        self._consecutive_transients = 0
 
     # -- tier selection ----------------------------------------------------
 
@@ -94,24 +88,11 @@ class DegradationController:
             return {}
         return dict(self.quarantine.quarantined)
 
-    # -- transient-fault retry budget --------------------------------------
-
-    def note_transient(self) -> bool:
-        """Record a transient fault; returns False when budget exhausted."""
-        self.transient_faults += 1
-        self._consecutive_transients += 1
-        return self._consecutive_transients <= TRANSIENT_RETRY_LIMIT
-
-    def note_progress(self) -> None:
-        """An execute completed: reset the consecutive-transient counter."""
-        self._consecutive_transients = 0
-
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> Dict[str, float]:
         base = {
             "quarantined_rules": float(len(self.quarantined_rules)),
-            "transient_faults": float(self.transient_faults),
             "recovered_faults": float(self.recovered_faults),
             "tier_demotions": float(self.demotions),
         }
@@ -123,13 +104,6 @@ class DegradationController:
 # ---------------------------------------------------------------------------
 # Online differential self-check.
 # ---------------------------------------------------------------------------
-
-
-class _SandboxRuntime:
-    """Minimal runtime facade for injected helpers inside the sandbox."""
-
-    def __init__(self, env: Env):
-        self.env = env
 
 
 class _NoBus:
@@ -150,17 +124,12 @@ class _NoBus:
 
 def tb_selfcheckable(tb) -> bool:
     """A TB is checkable when it is *pure*: no guest memory or system
-    instructions and no (non-injected) helper calls, so both the
-    sandboxed host run and the reference interpretation are closed over
-    the env state alone."""
+    instructions and no helper calls, so both the sandboxed host run and
+    the reference interpretation are closed over the env state alone."""
     meta = tb.meta
     if meta.get("n_memory", 1) or meta.get("n_system", 1):
         return False
-    for insn in tb.code:
-        if insn.op is X86Op.CALL_HELPER and \
-                not getattr(insn.helper, "injected", False):
-            return False
-    return True
+    return all(insn.op is not X86Op.CALL_HELPER for insn in tb.code)
 
 
 class SelfCheck:
@@ -233,7 +202,6 @@ class SelfCheck:
         cpu = HostCpu(stack_top=STACK_BASE + STACK_SIZE)
         cpu.regs[ENV_REG] = ENV_BASE
         host = HostInterpreter(cpu, memory)
-        host.runtime = _SandboxRuntime(env)
         host.watchdog = ExecutionWatchdog(max_host_insns=SELFCHECK_HOST_BOUND)
         shadow = copy.copy(tb)
         shadow.jmp_target = [None, None]

@@ -1,32 +1,24 @@
-"""Execution watchdog, halt fast-forward, and machine-state snapshots.
+"""Execution watchdog and the shared halt fast-forward.
 
-Three hang classes are converted into structured, recoverable errors:
+Two hang classes are converted into structured errors:
 
 - **runaway TBs**: :class:`ExecutionWatchdog` bounds host instructions
   per :meth:`HostInterpreter.execute` call; tripping raises
-  :class:`~repro.common.errors.WatchdogTimeout` with a machine-state
-  snapshot attached (the degradation ladder then treats the TB like any
-  other codegen bug);
+  :class:`~repro.common.errors.WatchdogTimeout`, which the engine
+  propagates with the TB's pc attached;
 - **wakeup deadlocks**: :func:`fast_forward_halt` is the single shared
   halt fast-forward (both the interpreter engine and the DBT engines
   call it) and raises :class:`~repro.common.errors.WakeupDeadlock` with
   the timer/interrupt-controller state when a halted guest can never
-  wake;
-- **unsafe recovery**: :class:`MachineSnapshot` captures the
-  architectural state (env bytes, guest CPU, time, timer/intc) before a
-  TB executes so the engine can roll back and replay after a fault that
-  surfaced before any non-idempotent (MMIO/exception) side effect.
+  wake.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable
 
 from ..common.errors import WakeupDeadlock
-
-#: Default per-execute() host-instruction bound (matches the legacy
-#: hard-coded runaway limit in the host interpreter).
-DEFAULT_MAX_HOST_INSNS = 5_000_000
+from ..host.interp import DEFAULT_MAX_HOST_INSNS
 
 #: Halt fast-forward iterations before declaring a wakeup deadlock.  Each
 #: iteration advances guest time by at least one timer period, so any
@@ -76,72 +68,3 @@ def fast_forward_halt(machine, awake: Callable[[], bool]) -> None:
         if iterations > limit:
             raise deadlock(f"halted guest did not wake within {limit} "
                            f"timer periods")
-
-
-class MachineSnapshot:
-    """Copy of the rollback-relevant machine state at a TB boundary.
-
-    Host RAM is deliberately *not* copied: replayed computation is
-    deterministic, so RAM stores replay idempotently given the restored
-    env/CPU state.  Recovery is therefore only attempted when the
-    partial execution performed no non-idempotent work (MMIO, exception
-    delivery) — the host interpreter tracks that per execute() call.
-    """
-
-    __slots__ = ("env_data", "cpu_state", "guest_icount", "io_cost",
-                 "irq_delivered", "timer_state", "intc_state")
-
-    def __init__(self, machine):
-        self.env_data = bytes(machine.env.data)
-        self.cpu_state = _save_cpu(machine.cpu)
-        self.guest_icount = machine.guest_icount
-        self.io_cost = machine.io_cost
-        self.irq_delivered = machine.irq_delivered
-        timer = machine.timer
-        self.timer_state = (timer.reload, timer.value, timer.enabled,
-                            timer.ticks)
-        self.intc_state = (machine.intc.pending, machine.intc.enabled)
-
-    def restore(self, machine) -> None:
-        machine.env.data[:] = self.env_data
-        _restore_cpu(machine.cpu, self.cpu_state)
-        machine.guest_icount = self.guest_icount
-        machine.io_cost = self.io_cost
-        machine.irq_delivered = self.irq_delivered
-        timer = machine.timer
-        (timer.reload, timer.value, timer.enabled, timer.ticks) = \
-            self.timer_state
-        machine.intc.pending, machine.intc.enabled = self.intc_state
-
-
-def _save_cpu(cpu) -> Tuple:
-    return (list(cpu.regs), cpu.cpsr, dict(cpu._banked_sp_lr),
-            dict(cpu._spsr), cpu.halted, cpu.irq_line, cpu.fpscr,
-            list(cpu.vfp), _save_cp15(cpu.cp15))
-
-
-def _restore_cpu(cpu, state) -> None:
-    (regs, cpsr, banked, spsr, halted, irq_line, fpscr, vfp, cp15) = state
-    cpu.regs[:] = regs
-    cpu.cpsr = cpsr
-    cpu._banked_sp_lr = dict(banked)
-    cpu._spsr = dict(spsr)
-    cpu.halted = halted
-    cpu.irq_line = irq_line
-    cpu.fpscr = fpscr
-    cpu.vfp[:] = vfp
-    _restore_cp15(cpu.cp15, cp15)
-
-
-def _cp15_fields(cp15) -> List[str]:
-    import dataclasses
-    return [field.name for field in dataclasses.fields(cp15)]
-
-
-def _save_cp15(cp15) -> Tuple:
-    return tuple(getattr(cp15, name) for name in _cp15_fields(cp15))
-
-
-def _restore_cp15(cp15, state) -> None:
-    for name, value in zip(_cp15_fields(cp15), state):
-        setattr(cp15, name, value)

@@ -8,10 +8,10 @@ The load-bearing guarantees under test:
 - the cost model is deterministic: two clean runs of the same tree
   produce bit-identical snapshots, so the exact gate reports every
   metric flat and exits 0;
-- the injector's ``extra-sync`` site works as a regression simulator
-  end to end: the gate exits nonzero and attributes the damage to the
-  ``coordination`` category, while guest behaviour (and therefore the
-  soundness checker) is unaffected;
+- a simulated regression (redundant sync instructions at the entry of
+  every rules-tier TB) is caught end to end: the gate exits nonzero and
+  attributes the damage to the ``coordination`` category, while guest
+  behaviour is unaffected;
 - the comparator handles schema drift: added/removed/skipped metrics,
   zero-valued baselines, and non-finite scalars each get the right
   verdict and gate at the right ``--fail-on`` level;
@@ -25,7 +25,9 @@ import math
 import pytest
 
 from repro.__main__ import main
-from repro.harness import run_workload
+from repro.core.engine import RuleEngine
+from repro.harness import clear_cache, run_workload
+from repro.host.isa import X86Insn, X86Op
 from repro.observability import (IncomparableSnapshots, compare_snapshots,
                                  iter_metrics, load_snapshot,
                                  next_snapshot_path, run_suite,
@@ -40,7 +42,33 @@ from repro.observability.regress import (GATE_LEVELS, VERDICT_ADDED,
 from repro.workloads import ALL_WORKLOADS
 
 SWEEP = ("sjeng",)
-INJECT = "seed=1,extra-sync=0.5"
+
+#: Redundant sync instructions the simulated regression puts at the
+#: entry of every rules-tier TB (two packed saves' worth, Fig 8).
+EXTRA_SYNC_INSNS = 6
+
+
+def simulate_extra_sync(patch):
+    """Patch ``RuleEngine.translate_rules`` (through the MonkeyPatch
+    *patch*) so every TB it returns starts with redundant
+    ``sync``-tagged no-ops: a translator whose sync-save optimizations
+    silently stopped firing.  Guest behaviour is intact; only the
+    benchmark gate can notice.  Callers clear the run cache around it
+    so clean and regressed runs never alias."""
+    translate_rules = RuleEngine.translate_rules
+
+    def translate(self, pc, mmu_idx):
+        tb = translate_rules(self, pc, mmu_idx)
+        for insn in tb.code:
+            if insn.target_index >= 0:
+                insn.target_index += EXTRA_SYNC_INSNS
+        tb.code[:0] = [X86Insn(X86Op.NOPSLOT, tag="sync")
+                       for _ in range(EXTRA_SYNC_INSNS)]
+        tb.meta["sync_insns"] = tb.meta.get("sync_insns", 0) + \
+            EXTRA_SYNC_INSNS
+        return tb
+
+    patch.setattr(RuleEngine, "translate_rules", translate)
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +78,13 @@ def clean_snapshot():
 
 @pytest.fixture(scope="module")
 def injected_snapshot():
-    return run_suite(mode="custom", sweep_workloads=SWEEP,
-                     name="injected", inject=INJECT)
+    clear_cache()
+    with pytest.MonkeyPatch.context() as patch:
+        simulate_extra_sync(patch)
+        snapshot = run_suite(mode="custom", sweep_workloads=SWEEP,
+                             name="injected")
+    clear_cache()
+    return snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +136,14 @@ def test_clean_rerun_is_bit_identical(clean_snapshot):
 
 
 # ---------------------------------------------------------------------------
-# The regression simulator (extra-sync) end to end.
+# The simulated regression (extra sync) end to end.
 # ---------------------------------------------------------------------------
 
-def test_extra_sync_preserves_guest_behaviour():
+def test_extra_sync_preserves_guest_behaviour(monkeypatch):
     workload = ALL_WORKLOADS["sjeng"]
     clean = run_workload(workload, "rules-full")
-    injected = run_workload(workload, "rules-full", inject=INJECT)
+    simulate_extra_sync(monkeypatch)
+    injected = run_workload(workload, "rules-full")
     assert injected.output == clean.output
     assert injected.exit_code == 0
     assert injected.host_cost > clean.host_cost
@@ -131,7 +165,7 @@ def test_injected_regression_is_caught_and_attributed(
         if not verdict.metric.startswith("coordination."):
             assert verdict.attribution == "coordination", verdict.metric
     # host_cost regressed on every rules tier; tcg is untouched
-    # (extra-sync only fires on rules-tier TBs).
+    # (the extra sync only goes into rules-tier TBs).
     regressed_ids = {v.metric for v in regressed}
     assert "tiers.rules-full.host_cost" in regressed_ids
     assert not any(m.startswith("tiers.tcg.") for m in regressed_ids)
@@ -139,7 +173,7 @@ def test_injected_regression_is_caught_and_attributed(
 
 def test_injected_snapshot_still_schema_valid(injected_snapshot):
     # The inserted sync insns are tagged and charged, so the category
-    # sum invariant survives injection.
+    # sum invariant survives the simulated regression.
     assert validate_snapshot(injected_snapshot) == []
 
 
@@ -301,20 +335,32 @@ def test_validate_result_payload_rejects_empty_and_nonfinite():
 # The CLI verb (suite mode + the gate's exit codes).
 # ---------------------------------------------------------------------------
 
-def test_cli_bench_gate_catches_injected_regression(tmp_path, capsys):
+def test_cli_bench_gate_catches_injected_regression(tmp_path, capsys,
+                                                   monkeypatch):
     base = str(tmp_path / "base.json")
     code = main(["bench", "--workload", "sjeng", "--out", base])
     assert code == 0
     assert validate_snapshot(load_snapshot(base)) == []
 
-    code = main(["bench", "--workload", "sjeng", "--inject", INJECT,
-                 "--out", str(tmp_path / "cur.json"),
-                 "--compare", base, "--format", "json"])
+    clear_cache()
+    simulate_extra_sync(monkeypatch)
+    try:
+        code = main(["bench", "--workload", "sjeng",
+                     "--out", str(tmp_path / "cur.json"),
+                     "--compare", base, "--format", "json"])
+    finally:
+        clear_cache()
     assert code == 1
     out = capsys.readouterr().out
     report = json.loads(out[out.index("{"):])  # the report is last
     assert report["top_category"] == "coordination"
     assert report["counts"][VERDICT_REGRESSED] > 0
+    regressed = [v for v in report["verdicts"]
+                 if v["verdict"] == VERDICT_REGRESSED]
+    for verdict in regressed:
+        if not verdict["metric"].startswith("coordination."):
+            assert verdict["attribution"] == "coordination", \
+                verdict["metric"]
 
 
 def test_cli_bench_clean_compare_exits_zero(tmp_path):

@@ -1,27 +1,27 @@
-"""Robustness subsystem tests: fault injection, degradation, watchdog.
+"""Robustness subsystem tests: degradation ladder, watchdog, errors.
 
 Covers the tiered degradation ladder (rules -> tcg -> interp), rule
-quarantine and TB invalidation, the execution watchdog, wakeup-deadlock
-detection, the online differential self-check, and the seeded
-fault-injection matrix (every scenario must still produce the correct
-guest output and exit code).
+quarantine and TB invalidation, the online differential self-check, the
+execution watchdog, wakeup-deadlock detection, and the rule that a
+fault inside generated code is never rolled back and replayed: it
+propagates as a structured error naming the TB.
 """
 
 import pytest
 
-from repro.common.errors import (DiagContext, InjectedFault, ReproError,
-                                 RuleApplicationError, WakeupDeadlock,
+from repro.common.errors import (DiagContext, HostExecutionError,
+                                 ReproError, WakeupDeadlock,
                                  WatchdogTimeout)
 from repro.core import OptLevel, make_rule_engine
 from repro.core.rulebook import (EmptyRulebook, MatureRulebook,
                                  QuarantineFilter, rule_key)
 from repro.guest.decoder import decode
-from repro.host.isa import X86Insn, X86Op
-from repro.kernel.kernel import USER_ENTRY
+from repro.host.isa import ENV_REG, Imm, Mem, X86Insn, X86Op
+from repro.kernel.kernel import USER_ENTRY, build_user_program
+from repro.miniqemu.env import env_reg
 from repro.miniqemu.tb import CodeCache, TranslationBlock
-from repro.robustness import (ExecutionWatchdog, FaultInjector, FaultPlan,
-                              MachineSnapshot, NullInjector,
-                              fast_forward_halt, parse_inject_spec)
+from repro.robustness import (ExecutionWatchdog, fast_forward_halt,
+                              tb_selfcheckable)
 from tests.support import boot_machine, run_workload
 
 RULES_KW = {"engine": "rules",
@@ -29,88 +29,6 @@ RULES_KW = {"engine": "rules",
 
 ADD_INSN = decode(0xE0810002, 0)    # add r0, r1, r2
 SUB_INSN = decode(0xE0410002, 0)    # sub r0, r1, r2
-
-
-# ---------------------------------------------------------------------------
-# --inject spec parsing.
-# ---------------------------------------------------------------------------
-
-def test_parse_inject_spec_full():
-    plan = parse_inject_spec("seed=7, mem=0.01, fetch=0.5,"
-                             "rule-corrupt=eor, rule-wrong=SUB,"
-                             "irq-storm=0.001")
-    assert plan.seed == 7
-    assert plan.rates == {"mem": 0.01, "fetch": 0.5, "irq-storm": 0.001}
-    assert plan.corrupt_rules == frozenset({"EOR"})
-    assert plan.wrong_rules == frozenset({"SUB"})
-    # describe() round-trips through the parser.
-    assert parse_inject_spec(plan.describe()) == plan
-
-
-def test_parse_inject_spec_rejects_unknown_site():
-    with pytest.raises(ReproError, match="unknown --inject site"):
-        parse_inject_spec("seed=1,frobnicate=0.5")
-
-
-def test_parse_inject_spec_rejects_bad_rate():
-    with pytest.raises(ReproError, match="out of"):
-        parse_inject_spec("mem=1.5")
-    with pytest.raises(ReproError, match="key=value"):
-        parse_inject_spec("mem")
-
-
-def test_parse_inject_spec_empty_is_noop_plan():
-    plan = parse_inject_spec("")
-    assert plan == FaultPlan()
-
-
-# ---------------------------------------------------------------------------
-# Deterministic injection streams.
-# ---------------------------------------------------------------------------
-
-def test_injector_is_deterministic_per_seed():
-    plan = parse_inject_spec("seed=42,mem=0.3,fetch=0.3")
-    first = [FaultInjector(plan).fires("mem") for _ in range(1)]
-    a = FaultInjector(plan)
-    b = FaultInjector(plan)
-    assert [a.fires("mem") for _ in range(200)] == \
-        [b.fires("mem") for _ in range(200)]
-    assert first  # a 0.3 rate fires within 200 draws for this seed
-    other = FaultInjector(parse_inject_spec("seed=43,mem=0.3,fetch=0.3"))
-    assert [a.fires("mem") for _ in range(200)] != \
-        [other.fires("mem") for _ in range(200)]
-
-
-def test_injector_sites_draw_independent_streams():
-    """Consulting one site must not perturb another site's pattern."""
-    plan = parse_inject_spec("seed=5,mem=0.2,fetch=0.2")
-    a = FaultInjector(plan)
-    b = FaultInjector(plan)
-    pattern_a = [a.fires("mem") for _ in range(100)]
-    for _ in range(57):                 # interleave fetch consultations
-        b.fires("fetch")
-    pattern_b = [b.fires("mem") for _ in range(100)]
-    assert pattern_a == pattern_b
-
-
-def test_injector_maybe_fault_raises_and_counts():
-    plan = parse_inject_spec("seed=1,mem=1.0")
-    injector = FaultInjector(plan)
-    with pytest.raises(InjectedFault) as info:
-        injector.maybe_fault("mem", "test detail")
-    assert info.value.site == "mem"
-    assert injector.counts_by_site() == {"mem": 1}
-    injector.maybe_fault("fetch")       # rate 0: never raises
-    assert injector.counts_by_site() == {"mem": 1}
-
-
-def test_null_injector_is_inert():
-    injector = NullInjector()
-    assert not injector.enabled
-    assert not injector.fires("mem")
-    injector.maybe_fault("mem")
-    injector.instrument_tb(TranslationBlock(pc=0, mmu_idx=0))
-    assert injector.counts_by_site() == {}
 
 
 # ---------------------------------------------------------------------------
@@ -183,36 +101,6 @@ def test_cache_invalidate_rules_evicts_by_rule_key():
 
 
 # ---------------------------------------------------------------------------
-# Machine snapshots (rollback).
-# ---------------------------------------------------------------------------
-
-def test_machine_snapshot_roundtrip():
-    machine = boot_machine("main:\n  mov r0, #0\n  bl uexit\n")
-    machine.cpu.regs[3] = 0xAAAA
-    machine.env.set_reg(3, 0xAAAA)
-    machine.timer.enabled = True
-    machine.timer.reload = 100
-    machine.timer.value = 60
-    snapshot = MachineSnapshot(machine)
-    # Perturb everything the snapshot covers.
-    machine.cpu.regs[3] = 0xBBBB
-    machine.env.set_reg(3, 0xBBBB)
-    machine.cpu.halted = True
-    machine.guest_icount += 999
-    machine.timer.value = 1
-    machine.intc.pending |= 0b10
-    machine.cpu.cp15.ttbr0 = 0xDEAD
-    snapshot.restore(machine)
-    assert machine.cpu.regs[3] == 0xAAAA
-    assert machine.env.get_reg(3) == 0xAAAA
-    assert not machine.cpu.halted
-    assert machine.guest_icount == snapshot.guest_icount
-    assert machine.timer.value == 60
-    assert machine.intc.pending == 0
-    assert machine.cpu.cp15.ttbr0 == 0
-
-
-# ---------------------------------------------------------------------------
 # Execution watchdog.
 # ---------------------------------------------------------------------------
 
@@ -232,58 +120,96 @@ def test_watchdog_stops_synthetic_runaway_tb():
     assert "watchdog" in str(error)
 
 
-def test_engine_recovers_from_runaway_tb():
-    """A runaway rules-tier TB is rolled back and the block demoted."""
+def _sabotage_entry_tb(machine, code):
+    """Replace the host code of the rules-tier TB at USER_ENTRY."""
+    engine = machine.engine
+    original = engine._translate_tier
+
+    def sabotage(tier, pc, mmu_idx):
+        tb = original(tier, pc, mmu_idx)
+        if tier == "rules" and pc == USER_ENTRY:
+            tb.code = list(code)
+        return tb
+
+    engine._translate_tier = sabotage
+
+
+def test_runaway_tb_propagates_watchdog_timeout_with_context():
+    """A runaway TB is not replayed: the timeout names the TB."""
     machine = boot_machine("main:\n  mov r0, #42\n  bl updec\n"
                            "  mov r0, #0\n  bl uexit\n",
                            watchdog=ExecutionWatchdog(max_host_insns=20_000),
                            **RULES_KW)
-    engine = machine.engine
-    original = engine._translate_tier
-    armed = {"on": True}
-
-    def sabotage(tier, pc, mmu_idx):
-        tb = original(tier, pc, mmu_idx)
-        if armed["on"] and tier == "rules" and pc == USER_ENTRY:
-            armed["on"] = False
-            tb.code = [X86Insn(X86Op.JMP, target_index=0)]
-        return tb
-
-    engine._translate_tier = sabotage
-    code = machine.run(5_000_000)
-    assert code == 0
-    assert machine.uart.text == "42\n"
-    stats = machine.stats()
-    assert stats["robust.watchdog_trips"] >= 1
-    assert stats["robust.tier_demotions"] >= 1
-    assert stats["robust.recovered_faults"] >= 1
-    assert stats["engine.tb_invalidated"] >= 1
-    # The demoted block was retranslated one tier down.
-    assert stats["robust.tier_tcg_tbs"] >= 1
+    _sabotage_entry_tb(machine, [X86Insn(X86Op.JMP, target_index=0)])
+    with pytest.raises(WatchdogTimeout) as info:
+        machine.run(5_000_000)
+    assert info.value.tb_pc == USER_ENTRY
+    assert info.value.context.extra["tb_pc"] == hex(USER_ENTRY)
+    assert machine.watchdog.trips == 1
+    assert machine.uart.text == ""
 
 
-def test_engine_recovers_from_host_crash_tb():
-    """A TB that crashes the host interpreter degrades the same way."""
+def test_host_crash_tb_propagates_with_context():
+    """A TB that crashes the host interpreter raises, naming the TB."""
     machine = boot_machine("main:\n  mov r0, #7\n  bl updec\n"
                            "  mov r0, #0\n  bl uexit\n",
-                           watchdog=ExecutionWatchdog(),
-                           **RULES_KW)
-    engine = machine.engine
-    original = engine._translate_tier
+                           watchdog=ExecutionWatchdog(), **RULES_KW)
+    _sabotage_entry_tb(machine, [])     # falls off the end immediately
+    with pytest.raises(HostExecutionError, match="fell off the end") as info:
+        machine.run(5_000_000)
+    assert info.value.context.extra["tb_pc"] == hex(USER_ENTRY)
+    assert machine.uart.text == ""
+
+
+#: Stores 5, bumps it in its own block, prints the word: interp prints 6.
+BUMP_BODY = r"""
+main:
+    ldr r4, =USER_HEAP
+    mov r1, #5
+    str r1, [r4]
+    b bump
+bump:
+    ldr r1, [r4]
+    add r1, r1, #1
+    str r1, [r4]
+    b show
+show:
+    ldr r0, [r4]
+    bl updec
+    mov r0, #0
+    bl uexit
+"""
+
+
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"engine": "tcg"}, id="tcg"),
+    pytest.param(dict(RULES_KW), id="rules"),
+])
+def test_fault_after_guest_store_is_not_replayed(kwargs):
+    """A fault right after a TB stored to guest RAM must not be replayed.
+
+    Replaying the block from its entry state would bump the stored word
+    a second time and print 7.
+    """
+    assert run_workload(BUMP_BODY)[1] == "6\n"
+    bump = build_user_program(BUMP_BODY).symbols["bump"]
+    machine = boot_machine(BUMP_BODY, watchdog=ExecutionWatchdog(), **kwargs)
+    execute = machine.host.execute
     armed = {"on": True}
 
-    def sabotage(tier, pc, mmu_idx):
-        tb = original(tier, pc, mmu_idx)
-        if armed["on"] and tier == "rules" and pc == USER_ENTRY:
+    def crash_after_bump(tb):
+        exit_info = execute(tb)
+        if armed["on"] and tb.pc == bump:
             armed["on"] = False
-            tb.code = []                # falls off the end immediately
-        return tb
+            raise HostExecutionError("host crash after the block returned")
+        return exit_info
 
-    engine._translate_tier = sabotage
-    code = machine.run(5_000_000)
-    assert code == 0
-    assert machine.uart.text == "7\n"
-    assert machine.stats()["robust.tier_demotions"] >= 1
+    machine.host.execute = crash_after_bump
+    with pytest.raises(HostExecutionError) as info:
+        machine.run(5_000_000)
+    assert not armed["on"]
+    assert info.value.context.extra["tb_pc"] == hex(bump)
+    assert machine.uart.text == ""
 
 
 # ---------------------------------------------------------------------------
@@ -428,82 +354,60 @@ loop:
 COUNT_OUTPUT = "99284\n"
 
 
-def _run_injected(spec, body=COUNT_BODY, **extra):
-    plan = parse_inject_spec(spec)
-    kwargs = {
-        "fault_injector": FaultInjector(plan),
-        "watchdog": ExecutionWatchdog(),
-        "selfcheck_interval": 1 if plan.wrong_rules else 0,
-    }
-    kwargs.update(RULES_KW)
-    kwargs.update(extra)
-    code, text, machine = run_workload(body, **kwargs)
-    return code, text, machine
-
-
 def test_reference_output_without_injection():
     code, text, _ = run_workload(COUNT_BODY, **RULES_KW)
     assert (code, text) == (0, COUNT_OUTPUT)
 
 
-@pytest.mark.parametrize("spec", [
-    "seed=3,fetch=0.2",
-    "seed=3,mem=0.2",
-    "seed=5,helper=0.2",
-    "seed=3,irq-storm=0.001",
-    "seed=3,rule-crash=0.05",
-])
-def test_transient_fault_matrix_preserves_correctness(spec):
-    code, text, machine = _run_injected(spec)
-    assert (code, text) == (0, COUNT_OUTPUT)
-    stats = machine.stats()
-    injected = sum(count for key, count in stats.items()
-                   if key.startswith("robust.inj_"))
-    assert injected >= 1, f"scenario {spec} never fired"
+def test_translate_time_crash_demotes_block():
+    """A tier whose translation raises is skipped for that block."""
+    machine = boot_machine(COUNT_BODY, **RULES_KW)
+    engine = machine.engine
+    original = engine._translate_tier
 
+    def crash(tier, pc, mmu_idx):
+        if tier == "rules" and pc == USER_ENTRY:
+            raise RuntimeError("rule application crashed")
+        return original(tier, pc, mmu_idx)
 
-def test_corrupted_rule_is_quarantined_and_run_completes():
-    code, text, machine = _run_injected("seed=1,rule-corrupt=EOR")
-    assert (code, text) == (0, COUNT_OUTPUT)
+    engine._translate_tier = crash
+    assert machine.run(5_000_000) == 0
+    assert machine.uart.text == COUNT_OUTPUT
     stats = machine.stats()
-    assert stats["robust.inj_rule_corrupt"] >= 1
-    assert stats["robust.quarantined_rules"] >= 1
-    assert stats["robust.recovered_faults"] >= 1
-    assert stats["engine.tb_invalidated"] >= 1
-    assert "EOR" in machine.engine.ladder.quarantined_rules
+    assert stats["robust.tier_demotions"] >= 1
+    assert stats["robust.tier_tcg_tbs"] >= 1
 
 
 def test_wrong_result_rule_is_caught_by_selfcheck():
-    """A silently-wrong rule never corrupts live architectural state."""
-    code, text, machine = _run_injected("seed=1,rule-wrong=EOR")
-    assert (code, text) == (0, COUNT_OUTPUT)
+    """A silently-wrong pure TB never corrupts live architectural state."""
+    loop = build_user_program(COUNT_BODY).symbols["loop"]
+    machine = boot_machine(COUNT_BODY, selfcheck_interval=1, **RULES_KW)
+    engine = machine.engine
+    original = engine._translate_tier
+    armed = {"on": True}
+
+    def corrupt(tier, pc, mmu_idx):
+        tb = original(tier, pc, mmu_idx)
+        if armed["on"] and tier == "rules" and pc == loop:
+            assert tb_selfcheckable(tb)
+            armed["on"] = False
+            for insn in tb.code:
+                if insn.target_index >= 0:
+                    insn.target_index += 1
+            # Flip a bit of guest r3 in env: no helper, so the TB stays
+            # pure and the self-check sandbox runs it.
+            tb.code.insert(0, X86Insn(
+                X86Op.XOR, dst=Mem(base=ENV_REG, disp=env_reg(3)),
+                src=Imm(0x1000)))
+        return tb
+
+    engine._translate_tier = corrupt
+    assert machine.run(5_000_000) == 0
+    assert machine.uart.text == COUNT_OUTPUT
+    assert not armed["on"]
     stats = machine.stats()
-    assert stats["robust.inj_rule_wrong"] >= 1
     assert stats["robust.selfcheck_failures"] >= 1
     assert stats["robust.quarantined_rules"] >= 1
-
-
-def test_translate_time_rule_crash_quarantines_and_retries():
-    code, text, machine = _run_injected("seed=2,rule-crash=1.0")
-    assert (code, text) == (0, COUNT_OUTPUT)
-    stats = machine.stats()
-    # Every covered rule the workload needed ended up quarantined, yet
-    # the run still completed through the fallback translations.
-    assert stats["robust.quarantined_rules"] >= 3
-    assert stats["robust.inj_rule_crash"] >= 3
-
-
-def test_transient_budget_exhaustion_propagates():
-    """A *persistent* 'transient' fault eventually escapes with context."""
-    code_err = None
-    plan = parse_inject_spec("seed=1,fetch=1.0")
-    machine = boot_machine(COUNT_BODY, fault_injector=FaultInjector(plan),
-                           watchdog=ExecutionWatchdog(), **RULES_KW)
-    with pytest.raises(InjectedFault) as info:
-        machine.run(5_000_000)
-    code_err = info.value
-    assert code_err.site == "fetch"
-    assert code_err.context is not None
 
 
 def test_interp_tier_runs_whole_workload():
@@ -536,12 +440,6 @@ def test_rules_engine_reports_ladder_stats():
 # ---------------------------------------------------------------------------
 # Structured error types.
 # ---------------------------------------------------------------------------
-
-def test_rule_application_error_carries_rule_key():
-    error = RuleApplicationError("EOR", phase="translate", detail="boom")
-    assert error.rule == "EOR"
-    assert "translate" in str(error) and "boom" in str(error)
-
 
 def test_watchdog_timeout_fields():
     error = WatchdogTimeout(1001, 1000, tb_pc=0x40)

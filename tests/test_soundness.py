@@ -4,8 +4,8 @@ Three claims are pinned here:
 
 1. **Clean builds verify**: the dataflow checker reports zero findings
    on everything the translator emits, at every optimization level.
-2. **Injected violations are caught**: every analysis-level fault the
-   injector plants (dropped sync-save, forged elision justification,
+2. **Planted violations are caught**: every analysis-level fault the
+   tests plant by hand (dropped sync-save, forged elision justification,
    forged inter-TB claim, refuted rule) produces an
    ERROR finding — and the ``--check`` engine mode degrades the block
    before it can execute.
@@ -22,6 +22,7 @@ from repro.analysis.dataflow import check_tb
 from repro.analysis.findings import Report, Severity
 from repro.analysis.justify import (AUDIT_KEY, EV_SAVE, J_INTER_TB,
                                     JUSTIFY_KEY, audit_of,
+                                    elide_save_justification,
                                     inter_tb_justification,
                                     justifications_of)
 from repro.core import OptConfig, OptLevel, make_rule_engine
@@ -31,7 +32,6 @@ from repro.core.engine import RuleEngine
 from repro.guest.asm import assemble
 from repro.guest.decoder import decode
 from repro.miniqemu.machine import Machine
-from repro.robustness.faultinject import FaultInjector, parse_inject_spec
 
 BASE_ADDR = 0x40000
 
@@ -93,14 +93,65 @@ LIVE_ACROSS_SITE = """
 """
 
 
-def make_engine(source, level=OptLevel.FULL, inject=None, check=False,
-                config=None):
-    kwargs = {}
-    if inject is not None:
-        kwargs["fault_injector"] = FaultInjector(parse_inject_spec(inject))
-    machine = Machine(engine="tcg", **kwargs)
+def make_engine(source, level=OptLevel.FULL, check=False, config=None):
+    machine = Machine(engine="tcg")
     machine.memory.load_program(assemble(source, base=BASE_ADDR))
     return RuleEngine(machine, level=level, config=config, check=check)
+
+
+def _shift_indices(records, at, delta):
+    """Shift every host-index field at or above *at* by *delta*."""
+    out = []
+    for record in records:
+        record = dict(record)
+        for key in ("start", "end", "index"):
+            value = record.get(key)
+            if isinstance(value, int) and value >= at:
+                record[key] = value + delta
+        out.append(record)
+    return out
+
+
+def delete_save(tb, which=-1):
+    """Delete the *which*-th sync-save of *tb* (the last by default), as
+    a translator that silently skipped coordination would.
+
+    The audit event goes too, and every remaining jump target, audit
+    event and justification record is shifted to keep pointing at the
+    same host instructions, so the checker sees the missing save rather
+    than a bookkeeping mismatch.  Returns the deleted save event, or
+    None when *tb* has no save.
+    """
+    saves = [e for e in audit_of(tb.meta) if e["kind"] == EV_SAVE]
+    if not saves:
+        return None
+    save = saves[which]
+    start, end = save["start"], save["end"]
+    delta = end - start
+    del tb.code[start:end]
+    for insn in tb.code:
+        if insn.target_index >= end:
+            insn.target_index -= delta
+    # Shift from start+1 so ranges ending exactly at the removal point
+    # keep their end.
+    tb.meta[AUDIT_KEY] = _shift_indices(
+        [e for e in audit_of(tb.meta) if e is not save], start + 1, -delta)
+    tb.meta[JUSTIFY_KEY] = _shift_indices(justifications_of(tb.meta),
+                                          start + 1, -delta)
+    return save
+
+
+@pytest.fixture
+def lossy_translate_rules(monkeypatch):
+    """Every rules-tier translation that has a save loses one."""
+    translate_rules = RuleEngine.translate_rules
+
+    def lossy(self, pc, mmu_idx):
+        tb = translate_rules(self, pc, mmu_idx)
+        delete_save(tb)
+        return tb
+
+    monkeypatch.setattr(RuleEngine, "translate_rules", lossy)
 
 
 def findings_of(engine, tb):
@@ -141,10 +192,9 @@ def test_clean_translation_emits_audit_records():
 @pytest.mark.parametrize("level", (OptLevel.BASE, OptLevel.FULL),
                          ids=["BASE", "FULL"])
 def test_dropped_save_is_flagged(level):
-    engine = make_engine(LIVE_ACROSS_SITE, level, inject="drop-save=1.0")
+    engine = make_engine(LIVE_ACROSS_SITE, level)
     tb = engine.translate(BASE_ADDR, 0)
-    engine.machine.injector.instrument_tb(tb)
-    assert tb.meta.get("injected") == "drop-save"
+    assert delete_save(tb) is not None
     errors = errors_of(findings_of(engine, tb))
     assert errors, "dropped sync-save not detected"
     assert {f.code for f in errors} & {"lost-ccr", "env-stale-handoff"}
@@ -153,10 +203,15 @@ def test_dropped_save_is_flagged(level):
 @pytest.mark.parametrize("level", (OptLevel.BASE, OptLevel.FULL),
                          ids=["BASE", "FULL"])
 def test_forged_elision_is_flagged(level):
-    engine = make_engine(LIVE_ACROSS_SITE, level, inject="forge-elide=1.0")
+    """Delete a save and forge the Sec III-C-2 claim that env already
+    held a current copy (a lying elimination pass)."""
+    engine = make_engine(LIVE_ACROSS_SITE, level)
     tb = engine.translate(BASE_ADDR, 0)
-    engine.machine.injector.instrument_tb(tb)
-    assert tb.meta.get("injected") == "forge-elide"
+    save = delete_save(tb)
+    mode = save.get("mode", "packed")
+    tb.meta[JUSTIFY_KEY] = justifications_of(tb.meta) + [
+        elide_save_justification(save["start"], packed_ok=mode == "packed",
+                                  parsed_ok=mode == "parsed")]
     errors = errors_of(findings_of(engine, tb))
     assert "bad-elide-justification" in {f.code for f in errors}
 
@@ -168,17 +223,8 @@ def test_forged_inter_tb_claim_is_flagged():
     # the flags, so the translator KEEPS the end-of-block save.  Forge
     # the elision by hand: delete the save, plant live_in=0.
     tb = engine.translate(BASE_ADDR + 8, 0)
-    save = next(e for e in audit_of(tb.meta) if e["kind"] == EV_SAVE)
-    start, end = save["start"], save["end"]
-    delta = end - start
-    del tb.code[start:end]
-    for insn in tb.code:
-        if insn.target_index >= end:
-            insn.target_index -= delta
-    from repro.analysis.justify import shift_indices
-    tb.meta[AUDIT_KEY] = shift_indices(
-        [e for e in audit_of(tb.meta) if e is not save], start + 1, -delta)
-    records = shift_indices(justifications_of(tb.meta), start + 1, -delta)
+    assert delete_save(tb, 0) is not None
+    records = justifications_of(tb.meta)
     goto = next(i for i, insn in enumerate(tb.code)
                 if insn.op.name == "GOTO_TB")
     records.append(inter_tb_justification(goto, tb.jmp_pc[0], live_in=0))
@@ -228,9 +274,8 @@ def test_rulebook_phase_is_clean_and_quarantines_fixture():
     assert not quarantine.covers(fixture.guest[0])
 
 
-def test_check_mode_degrades_unsound_tb_before_entry():
-    engine = make_engine(LIVE_ACROSS_SITE, OptLevel.FULL,
-                         inject="drop-save=1.0", check=True)
+def test_check_mode_degrades_unsound_tb_before_entry(lossy_translate_rules):
+    engine = make_engine(LIVE_ACROSS_SITE, OptLevel.FULL, check=True)
     tb = engine.get_tb(BASE_ADDR, 0)
     assert tb.meta["tier"] == "tcg"
     assert engine.check_rejected == 1
@@ -245,14 +290,15 @@ def test_check_mode_accepts_clean_tb():
     assert engine.check_rejected == 0
 
 
-def test_check_mode_run_recovers_full_workload():
-    """End to end: every rules TB is corrupted, --check degrades them
-    all pre-entry, and the workload still produces its exact output."""
+def test_check_mode_run_recovers_full_workload(lossy_translate_rules):
+    """End to end: every rules TB with a save loses one, --check
+    degrades them all pre-entry, and the workload still produces its
+    exact output."""
     from repro.harness.runner import run_workload
     from repro.workloads import ALL_WORKLOADS
 
     result = run_workload(ALL_WORKLOADS["cpu-prime"], "rules-full",
-                          inject="seed=3,drop-save=1.0", check=True)
+                          check=True)
     assert result.exit_code == 0
     assert result.stats["engine.check_rejected"] > 0
     assert result.stats["robust.tier_tcg_tbs"] == \
